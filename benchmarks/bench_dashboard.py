@@ -45,12 +45,7 @@ def extract_results(bench_json: dict) -> Dict[str, float]:
 
     The label is ``<scenario>/<accuracy>`` when the benchmark recorded that
     metadata (see ``bench_sim_speed.py``); other benchmarks fall back to
-    their test name and whatever throughput figure they exposed.  Runs on a
-    non-default simulation backend get a ``/<backend>`` suffix (e.g.
-    ``A1/exact/native``) so they are tracked as their own series — and,
-    because the gated suffix stays ``/exact``, a CI runner without a C
-    compiler (where the native benchmarks skip and the series goes missing)
-    is never mistaken for a regression.
+    their test name and whatever throughput figure they exposed.
     """
     results: Dict[str, float] = {}
     for bench in bench_json.get("benchmarks", []):
@@ -60,11 +55,8 @@ def extract_results(bench_json: dict) -> Dict[str, float]:
             continue
         scenario = extra.get("scenario")
         accuracy = extra.get("accuracy", "exact")
-        backend = extra.get("backend", "python")
         if scenario:
             label = f"{scenario}/{accuracy}"
-            if backend != "python":
-                label = f"{label}/{backend}"
         else:
             label = bench.get("name", "unknown")
         results[label] = float(speed)

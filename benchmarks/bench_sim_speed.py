@@ -10,55 +10,43 @@ isolates the discrete-event engine.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.dpm import DpmSetup
 from repro.experiments import run_scenario, scenario_by_name
 from repro.platform import PlatformBuilder
 from repro.sim import Kernel, ns, us
-from repro.sim.native import available as _native_available
-from repro.sim.native import unavailable_reason as _native_unavailable_reason
-
-#: Backends already exercised once in this process (see :func:`_warm_backend`).
-_WARMED = set()
 
 
-def _warm_backend(backend: str) -> None:
-    """One throwaway run per backend per process, shared by every variant.
+@functools.lru_cache(maxsize=None)
+def _warm_up() -> None:
+    """One throwaway run per process, shared by every variant.
 
-    The first native-backend run pays the extension-module import; the first
-    run of either backend pays scenario-table and bytecode warm-up.  Routing
-    all variants through this single warm-up path keeps those one-time costs
-    out of every timed region, so python and native series are comparable.
+    The first run pays scenario-table and bytecode warm-up; routing all
+    variants through this single warm-up keeps that one-time cost out of
+    every timed region.
     """
-    if backend in _WARMED:
-        return
-    _WARMED.add(backend)
-    run_scenario(scenario_by_name("A1"), DpmSetup.paper(), accuracy="fast", backend=backend)
+    run_scenario(scenario_by_name("A1"), DpmSetup.paper(), accuracy="fast")
 
 
-def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float,
-                    backend: str = "python"):
+def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float):
     """One measured scenario run; results land in ``extra_info`` for the
     longitudinal dashboard (``benchmarks/bench_dashboard.py``)."""
-    if backend == "native" and not _native_available():
-        pytest.skip(f"native backend unavailable: {_native_unavailable_reason()}")
-    _warm_backend(backend)
+    _warm_up()
 
     def run():
-        return run_scenario(scenario_by_name(name), DpmSetup.paper(),
-                            accuracy=accuracy, backend=backend)
+        return run_scenario(scenario_by_name(name), DpmSetup.paper(), accuracy=accuracy)
 
     artefacts = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert artefacts.backend == backend
     speed = artefacts.kilocycles_per_second()
     benchmark.extra_info["kilocycles_per_second"] = round(speed, 1)
     benchmark.extra_info["paper_kilocycles_per_second"] = paper_kcps
     benchmark.extra_info["scenario"] = name
     benchmark.extra_info["accuracy"] = accuracy
-    benchmark.extra_info["backend"] = backend
     print(
-        f"\n[sim-speed {name}/{accuracy}/{backend}] {speed:.0f} Kcycle/s "
+        f"\n[sim-speed {name}/{accuracy}] {speed:.0f} Kcycle/s "
         f"(paper: {paper_kcps:g} Kcycle/s on 2005 hardware)"
     )
     assert speed > paper_kcps  # abstract Python model outruns the 2005 RTL setup
@@ -86,24 +74,6 @@ def test_simulation_speed_single_ip_fast(benchmark):
 def test_simulation_speed_multi_ip_fast(benchmark):
     """B under the toleranced fast accuracy mode."""
     _bench_scenario(benchmark, "B", "fast", 7.5)
-
-
-@pytest.mark.benchmark(group="sim-speed")
-def test_simulation_speed_single_ip_native(benchmark):
-    """A1 exact on the compiled event-heap backend (skips without it)."""
-    _bench_scenario(benchmark, "A1", "exact", 35.0, backend="native")
-
-
-@pytest.mark.benchmark(group="sim-speed")
-def test_simulation_speed_multi_ip_native(benchmark):
-    """B exact on the compiled event-heap backend (skips without it)."""
-    _bench_scenario(benchmark, "B", "exact", 7.5, backend="native")
-
-
-@pytest.mark.benchmark(group="sim-speed")
-def test_simulation_speed_single_ip_fast_native(benchmark):
-    """A1 fast mode on the compiled backend: both optimisation axes at once."""
-    _bench_scenario(benchmark, "A1", "fast", 35.0, backend="native")
 
 
 @pytest.mark.benchmark(group="sim-speed")

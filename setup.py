@@ -8,7 +8,7 @@ editable wheels (e.g. no ``wheel`` package available).
 import os
 import re
 
-from setuptools import Extension, find_packages, setup
+from setuptools import find_packages, setup
 
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -28,17 +28,6 @@ def _readme() -> str:
         return handle.read()
 
 
-# The accelerated kernel core (see src/repro/sim/native.py).  optional=True
-# makes a failed compile (no C toolchain) a warning instead of an install
-# error: the package then runs on the pure-Python queue and
-# repro.sim.native reports why.  Force a build with the [native] extra or
-# `python setup.py build_ext --inplace`.
-_NATIVE_CORE = Extension(
-    "repro.sim._nativecore",
-    sources=["src/repro/sim/_nativecore.c"],
-    optional=True,
-)
-
 setup(
     name="repro-dpm",
     version=_version(),
@@ -51,13 +40,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    ext_modules=[_NATIVE_CORE],
-    extras_require={
-        # No extra dependencies — the extra exists so `pip install .[native]`
-        # documents intent; the extension itself builds (or is skipped) with
-        # the base install because it is marked optional.
-        "native": [],
-    },
     entry_points={
         "console_scripts": [
             "repro-dpm = repro.cli:main",

@@ -81,16 +81,24 @@ def _run_with_timeout(func: Callable[[], Any], timeout_s: Optional[float]) -> An
     if not timeout_s or not hasattr(signal, "SIGALRM"):
         return func()
 
+    fired = []
+
     def _alarm(_signum, _frame):
+        fired.append(True)
         raise _JobTimeout()
 
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return func()
+        result = func()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        # The alarm's exception is lost when it lands in code that swallows
+        # it, such as a gc callback; the job still overran its budget.
+        raise _JobTimeout()
+    return result
 
 
 def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = None) -> Dict[str, Any]:

@@ -90,17 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(toleranced fast math; see README 'Accuracy modes')",
         )
 
-    def add_backend_flag(sub) -> None:
-        sub.add_argument(
-            "--backend",
-            choices=["python", "native", "auto"],
-            default=None,
-            help="simulation kernel backend: 'python' (pure Python), 'native' "
-            "(compiled event heap; falls back to python with a notice when "
-            "the extension is not built) or 'auto' (native when available); "
-            "default: the REPRO_SIM_BACKEND environment variable, else python",
-        )
-
     def add_trace_flags(sub) -> None:
         sub.add_argument(
             "--trace",
@@ -148,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="DPM setup to evaluate (default: the platform's policy, else 'paper')",
     )
     add_accuracy_flag(scenario)
-    add_backend_flag(scenario)
     add_trace_flags(scenario)
 
     rules = subparsers.add_parser("rules", help="print or query the Table-1 rules")
@@ -207,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     speed = subparsers.add_parser("speed", help="measure simulation speed (Kcycle/s)")
     add_accuracy_flag(speed)
-    add_backend_flag(speed)
 
     subparsers.add_parser("breakeven", help="break-even times of the default IP")
 
@@ -320,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="DPM setup to evaluate (default: the spec's policy, else 'paper')",
     )
     add_accuracy_flag(platform_run)
-    add_backend_flag(platform_run)
     add_trace_flags(platform_run)
 
     platform_diff = platform_sub.add_parser(
@@ -345,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle_flag(sub) -> None:
         sub.add_argument(
             "--oracles", default=None, metavar="NAMES",
-            help="comma-separated oracle subset (exact_vs_fast, backend_parity, "
-            "bus_timing, policy, structural); default: all",
+            help="comma-separated oracle subset (exact_vs_fast, bus_timing, "
+            "policy, structural, lint_reach); default: all",
         )
 
     fuzz_run = fuzz_sub.add_parser(
@@ -367,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default tests/fuzz/corpus; 'none' disables saving)",
     )
     add_oracle_flag(fuzz_run)
-    add_backend_flag(fuzz_run)
 
     fuzz_replay = fuzz_sub.add_parser(
         "replay", help="replay corpus entries (spec files, directories or hash prefixes)"
@@ -383,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default tests/fuzz/corpus)",
     )
     add_oracle_flag(fuzz_replay)
-    add_backend_flag(fuzz_replay)
 
     fuzz_minimize = fuzz_sub.add_parser(
         "minimize", help="delta-debug a failing spec down to a minimal repro"
@@ -396,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the minimized spec here (default: print its JSON)",
     )
     add_oracle_flag(fuzz_minimize)
-    add_backend_flag(fuzz_minimize)
 
     return parser
 
@@ -426,11 +409,9 @@ def _cmd_scenario(args) -> int:
     metrics = run_comparison(
         scenario, dpm=setup, accuracy=args.accuracy,
         trace=request if request is not None else False,
-        backend=args.backend,
     )
     setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics,
-                      backend_note=_backend_note(args.backend))
+    _print_comparison(scenario, setup_name, args.accuracy, metrics)
     if request is not None:
         print(f"\ntrace written to {request.resolve_path(scenario.name)}")
     return 0
@@ -464,18 +445,9 @@ def _default_setup_name(scenario) -> str:
     return "paper"
 
 
-def _backend_note(requested) -> str:
-    """Human-readable resolved backend, e.g. ``python`` or
-    ``python (requested native: extension not built ...)``."""
-    from repro.sim.native import resolve_backend
-
-    return resolve_backend(requested).describe()
-
-
-def _print_comparison(scenario, setup_name: str, accuracy: str, metrics,
-                      backend_note: str = "python") -> None:
+def _print_comparison(scenario, setup_name: str, accuracy: str, metrics) -> None:
     print(f"Scenario {scenario.name}: {scenario.description}")
-    print(f"DPM setup: {setup_name} (accuracy: {accuracy}, backend: {backend_note})\n")
+    print(f"DPM setup: {setup_name} (accuracy: {accuracy})\n")
     rows = [
         ["energy saving (%)", f"{metrics.energy_saving_pct:.1f}"],
         ["temperature reduction (%)", f"{metrics.temperature_reduction_pct:.1f}"],
@@ -659,10 +631,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_speed(args) -> int:
     from repro.experiments.table2 import simulation_speed, simulation_speed_report
 
-    print(f"backend: {_backend_note(args.backend)} (accuracy: {args.accuracy})")
-    print(simulation_speed_report(
-        simulation_speed(accuracy=args.accuracy, backend=args.backend)
-    ))
+    print(f"accuracy: {args.accuracy}")
+    print(simulation_speed_report(simulation_speed(accuracy=args.accuracy)))
     return 0
 
 
@@ -858,11 +828,9 @@ def _cmd_platform_inner(args) -> int:
     metrics = run_comparison(
         scenario, dpm=setup, accuracy=args.accuracy,
         trace=request if request is not None else False,
-        backend=args.backend,
     )
     setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics,
-                      backend_note=_backend_note(args.backend))
+    _print_comparison(scenario, setup_name, args.accuracy, metrics)
     if request is not None:
         print(f"\ntrace written to {request.resolve_path(scenario.name)}")
     return 0
@@ -990,7 +958,6 @@ def _cmd_fuzz(args) -> int:
             examples=args.examples,
             seed=args.seed,
             oracles=oracles,
-            backend=args.backend,
             corpus=corpus,
         )
         print(report.summary())
@@ -1004,9 +971,7 @@ def _cmd_fuzz(args) -> int:
         if not targets:
             print(f"no corpus entries under {corpus.root}")
             return 0
-        results = replay_corpus(
-            targets, corpus=corpus, oracles=oracles, backend=args.backend
-        )
+        results = replay_corpus(targets, corpus=corpus, oracles=oracles)
         failures = 0
         for result in results:
             print(result.summary())
@@ -1023,16 +988,14 @@ def _cmd_fuzz(args) -> int:
     spec = load_platform(args.spec)
 
     def still_fails(candidate) -> bool:
-        return not run_differential(
-            candidate, oracles=oracles, backend=args.backend
-        ).ok
+        return not run_differential(candidate, oracles=oracles).ok
 
     if not still_fails(spec):
         print(f"error: {args.spec} passes every selected oracle; nothing to minimize",
               file=sys.stderr)
         return 2
     minimized = minimize_spec(spec, still_fails)
-    result = run_differential(minimized, oracles=oracles, backend=args.backend)
+    result = run_differential(minimized, oracles=oracles)
     print(result.summary())
     if args.out:
         save_platform(minimized, args.out)

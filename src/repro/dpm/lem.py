@@ -167,13 +167,6 @@ class LocalEnergyManager(Module):
         self._fast = fast
         self._fast_awaiting: Optional[tuple] = None
         self._fast_estimate: Optional[tuple] = None
-        # Context-estimate memo: the projection in _estimate_context is a
-        # pure function of the task shape and the observed battery/thermal
-        # state, so identical inputs give a bit-identical RuleContext (it is
-        # frozen, hence safely shared).  Keyed only on bus-less platforms —
-        # bus occupancy decays with wall-clock time and would need the clock
-        # in the key.
-        self._context_cache: dict = {}
         if fast:
             psm._completion_hooks.append(self._fast_grant_on_complete)
             self._fast_idle_event = self.event("idle_decide")
@@ -433,53 +426,11 @@ class LocalEnergyManager(Module):
             self._fast_estimate = (task, value)
         return value
 
-    #: Entry bound for the context-estimate memo; the whole table is dropped
-    #: when it fills (scenario state walks through few distinct keys, so a
-    #: full table means the keys stopped repeating anyway).
-    _CONTEXT_CACHE_MAX = 512
-
     def _estimate_context(self, task: Task) -> RuleContext:
-        """Project battery and temperature to the end of the task (section 1.3).
-
-        On bus-less platforms the result is memoised: the projection is
-        recomputed only when the task shape, the co-pending GEM energy, or
-        the observed battery/thermal state actually changed.  The sync hooks
-        run *before* the state is read for the key — exactly the replay that
-        :meth:`~repro.battery.model.Battery.level_if_drawn` and
-        :meth:`~repro.thermal.model.ThermalModel.estimate_after` would have
-        triggered — so a cache hit observes the same state a recomputation
-        would, and the recomputation itself is deterministic: hit or miss is
-        bit-for-bit the same answer.
-        """
+        """Project battery and temperature to the end of the task (section 1.3)."""
         other_energy = 0.0
         if self.gem is not None:
             other_energy = self.gem.pending_energy_excluding(self.ip_name)
-        if self.bus is None:
-            battery = self.battery
-            thermal = self.thermal
-            if battery._sync_hook is not None:
-                battery._sync_hook()
-            if thermal._sync_hook is not None:
-                thermal._sync_hook()
-            key = (
-                task.cycles,
-                task.instruction_class,
-                task.priority,
-                other_energy,
-                battery._remaining_j,
-                thermal._temperature_c,
-                thermal._fan_on,
-            )
-            context = self._context_cache.get(key)
-            if context is None:
-                context = self._compute_context(task, other_energy)
-                if len(self._context_cache) >= self._CONTEXT_CACHE_MAX:
-                    self._context_cache.clear()
-                self._context_cache[key] = context
-            return context
-        return self._compute_context(task, other_energy)
-
-    def _compute_context(self, task: Task, other_energy: float) -> RuleContext:
         own_energy = self._estimate_task_energy(task)
         own_duration = self.characterization.execution_time(self.config.estimation_state, task.cycles)
         battery_level = self.battery.level_if_drawn(own_energy + other_energy)

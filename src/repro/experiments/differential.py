@@ -1,20 +1,17 @@
 """Differential oracles: one platform, every execution path, agreement checks.
 
-The reproduction exposes four independent execution axes — accuracy mode
-(``exact`` vs ``fast``), bus timing (event-driven vs cycle-accurate), kernel
-backend (python vs native) and DPM policy (paper vs always-on vs greedy) —
-that must agree up to documented tolerances.  :func:`run_differential` runs a
-single :class:`~repro.platform.spec.PlatformSpec` through all of them and
-returns one :class:`OracleVerdict` per oracle:
+The reproduction exposes three independent execution axes — accuracy mode
+(``exact`` vs ``fast``), bus timing (event-driven vs cycle-accurate) and DPM
+policy (paper vs always-on vs greedy) — that must agree up to documented
+tolerances.  :func:`run_differential` runs a single
+:class:`~repro.platform.spec.PlatformSpec` through all of them and returns
+one :class:`OracleVerdict` per oracle:
 
 ``exact_vs_fast``
     Fast-mode energies within relative ``1e-9``, temperatures and battery
     state-of-charge within ``1e-6``; event times, task counts and PSM
     transition counts exactly equal (the documented fast-mode contract, see
     ``tests/experiments/test_accuracy_modes.py``).
-``backend_parity``
-    Exact-mode metrics bit-identical between the python and native kernel
-    backends (skipped when the native extension is not built).
 ``bus_timing``
     Event-driven vs cycle-accurate bus under an always-on setup (isolating
     arbitration from DPM decision cascades): identical task counts and
@@ -44,8 +41,8 @@ returns one :class:`OracleVerdict` per oracle:
     firing is a lint false positive — either way a generated platform
     just disproved a static claim.
 
-Oracles that cannot apply (no bus, native unavailable, baseline exhausted
-its budget) report ``skip`` with a reason rather than vanishing silently.
+Oracles that cannot apply (no bus, baseline exhausted its budget) report
+``skip`` with a reason rather than vanishing silently.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ POLICY_SAVING_SLACK = 1e-9
 
 ALL_ORACLES = (
     "exact_vs_fast",
-    "backend_parity",
     "bus_timing",
     "policy",
     "structural",
@@ -252,43 +248,17 @@ def _spec_with_bus_timing(spec: PlatformSpec, timing: str) -> PlatformSpec:
 # ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
-def _oracle_exact_vs_fast(spec: PlatformSpec, base: RunArtifacts, backend) -> OracleVerdict:
+def _oracle_exact_vs_fast(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
     # setup=None honours the spec's own policy (defaulting to the paper DPM),
     # so generated PolicyDefs are exercised by the accuracy contract too.
-    fast = run_scenario(spec, None, accuracy="fast", trace=False, backend=backend)
+    fast = run_scenario(spec, None, accuracy="fast", trace=False)
     problems = _check_run_agreement(base, fast, ENERGY_RTOL, TEMPERATURE_RTOL)
     if problems:
         return OracleVerdict("exact_vs_fast", "fail", "; ".join(problems))
     return OracleVerdict("exact_vs_fast", "pass")
 
 
-def _oracle_backend_parity(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
-    from repro.sim.native import available, unavailable_reason
-
-    if not available():
-        return OracleVerdict(
-            "backend_parity", "skip", f"native backend unavailable: {unavailable_reason()}"
-        )
-    runs = {}
-    for backend in ("python", "native"):
-        if base.backend == backend:
-            runs[backend] = base
-        else:
-            runs[backend] = run_scenario(
-                spec, None, accuracy="exact", trace=False, backend=backend
-            )
-    # Exact mode must be *bit-identical* across backends: zero tolerance.
-    problems = _check_run_agreement(runs["python"], runs["native"], 0.0, 0.0)
-    if runs["python"].end_time != runs["native"].end_time:
-        problems.append(
-            f"end time {runs['python'].end_time!r} vs {runs['native'].end_time!r}"
-        )
-    if problems:
-        return OracleVerdict("backend_parity", "fail", "; ".join(problems))
-    return OracleVerdict("backend_parity", "pass")
-
-
-def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
+def _oracle_bus_timing(spec: PlatformSpec) -> OracleVerdict:
     if spec.bus is None or not spec.bus.enabled:
         return OracleVerdict("bus_timing", "skip", "platform has no bus")
     if not any(ip.bus_words_per_task for ip in spec.ips):
@@ -302,7 +272,6 @@ def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
             DpmSetup.always_on(),
             accuracy="exact",
             trace=False,
-            backend=backend,
         )
     ed, ca = runs["event_driven"], runs["cycle_accurate"]
     problems: List[str] = []
@@ -356,14 +325,14 @@ def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
     return OracleVerdict("bus_timing", "pass")
 
 
-def _oracle_policy(spec: PlatformSpec, backend) -> OracleVerdict:
+def _oracle_policy(spec: PlatformSpec) -> OracleVerdict:
     runs: Dict[str, RunArtifacts] = {}
     for name, setup in (
         ("paper", DpmSetup.paper()),
         ("always-on", DpmSetup.always_on()),
         ("greedy-sleep", DpmSetup.greedy_sleep()),
     ):
-        runs[name] = run_scenario(spec, setup, accuracy="exact", trace=False, backend=backend)
+        runs[name] = run_scenario(spec, setup, accuracy="exact", trace=False)
     baseline = runs["always-on"]
     if not baseline.all_tasks_completed:
         return OracleVerdict(
@@ -478,7 +447,7 @@ def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
     return OracleVerdict("structural", "pass")
 
 
-def _oracle_lint_reach(spec: PlatformSpec, backend) -> OracleVerdict:
+def _oracle_lint_reach(spec: PlatformSpec) -> OracleVerdict:
     """Static lint (with the trajectory envelope) vs one traced run."""
     import tempfile
     from pathlib import Path
@@ -501,7 +470,7 @@ def _oracle_lint_reach(spec: PlatformSpec, backend) -> OracleVerdict:
         request = TraceRequest(
             format="jsonl", path=str(trace_path), events=("lem.decision",)
         )
-        artifacts = run_scenario(spec, None, trace=request, backend=backend)
+        artifacts = run_scenario(spec, None, trace=request)
         contexts = decision_contexts(artifacts.trace_path or trace_path)
     problems: List[str] = []
     escapes = [c for c in contexts if not reach.is_reachable(c)]
@@ -549,14 +518,11 @@ def _oracle_lint_reach(spec: PlatformSpec, backend) -> OracleVerdict:
 def run_differential(
     spec: PlatformSpec,
     oracles: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> DifferentialResult:
     """Run ``spec`` through every differential oracle and collect verdicts.
 
-    ``oracles`` restricts the set (names from :data:`ALL_ORACLES`);
-    ``backend`` fixes the kernel backend of the base runs (the
-    ``backend_parity`` oracle always compares python against native
-    regardless).  Simulator crashes inside an oracle are reported as
+    ``oracles`` restricts the set (names from :data:`ALL_ORACLES`).
+    Simulator crashes inside an oracle are reported as
     failures of that oracle, not raised — a generated platform that blows
     up one execution path is exactly what the fuzzer is looking for.
     """
@@ -569,12 +535,10 @@ def run_differential(
     result = DifferentialResult(spec_name=spec.name, spec_hash=spec_hash(spec))
 
     base: Optional[RunArtifacts] = None
-    needs_base = {"exact_vs_fast", "backend_parity", "structural"} & set(selected)
+    needs_base = {"exact_vs_fast", "structural"} & set(selected)
     if needs_base:
         try:
-            base = run_scenario(
-                spec, None, accuracy="exact", trace=False, backend=backend
-            )
+            base = run_scenario(spec, None, accuracy="exact", trace=False)
         except ReproError as error:
             for name in ALL_ORACLES:
                 if name in needs_base:
@@ -586,19 +550,17 @@ def run_differential(
     for name in ALL_ORACLES:
         if name not in selected:
             continue
-        if name in {"exact_vs_fast", "backend_parity", "structural"} and base is None:
+        if name in {"exact_vs_fast", "structural"} and base is None:
             continue  # already reported as a base-run failure above
         try:
             if name == "exact_vs_fast":
-                verdict = _oracle_exact_vs_fast(spec, base, backend)
-            elif name == "backend_parity":
-                verdict = _oracle_backend_parity(spec, base)
+                verdict = _oracle_exact_vs_fast(spec, base)
             elif name == "bus_timing":
-                verdict = _oracle_bus_timing(spec, backend)
+                verdict = _oracle_bus_timing(spec)
             elif name == "policy":
-                verdict = _oracle_policy(spec, backend)
+                verdict = _oracle_policy(spec)
             elif name == "lint_reach":
-                verdict = _oracle_lint_reach(spec, backend)
+                verdict = _oracle_lint_reach(spec)
             else:
                 verdict = _oracle_structural(spec, base)
         except ReproError as error:

@@ -96,10 +96,6 @@ class RunArtifacts:
     accuracy: AccuracyMode = AccuracyMode.EXACT
     #: Where the run's event/waveform trace was written (None when untraced).
     trace_path: Optional[Path] = None
-    #: Kernel backend the run resolved to ("python" or "native").
-    backend: str = "python"
-    #: Why an explicit native request fell back (empty when it did not).
-    backend_reason: str = ""
 
     @property
     def total_energy_j(self) -> float:
@@ -215,7 +211,6 @@ def run_scenario(
     setup: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
     trace=None,
-    backend: Optional[str] = None,
 ) -> RunArtifacts:
     """Build and simulate ``scenario`` once under ``setup`` (default: paper DPM).
 
@@ -223,11 +218,6 @@ def run_scenario(
     platform spec's ``trace:`` section when the scenario came from one,
     ``False`` forces tracing off, and a
     :class:`~repro.obs.session.TraceRequest` traces the run explicitly.
-
-    ``backend`` selects the kernel backend (``"python"``, ``"native"`` or
-    ``"auto"``; ``None`` consults ``REPRO_SIM_BACKEND``).  The resolved
-    backend — and the fallback reason, when a native request could not be
-    honoured — is recorded on the returned :class:`RunArtifacts`.
     """
     from repro.platform.build import platform_setup
 
@@ -237,7 +227,7 @@ def run_scenario(
     request = _resolve_trace_request(scenario, trace)
     specs = scenario.build_specs()
     config = scenario.build_config()
-    soc = build_soc(specs, config, setup, accuracy=mode, backend=backend)
+    soc = build_soc(specs, config, setup, accuracy=mode)
     session = None
     if request is not None:
         from repro.obs.session import TraceSession
@@ -257,7 +247,6 @@ def run_scenario(
         raise ExperimentError(
             f"scenario {scenario.name!r} executed no tasks under setup {setup.name!r}"
         )
-    resolution = soc.simulator.backend_resolution
     return RunArtifacts(
         scenario=scenario.name,
         setup=setup.name,
@@ -267,8 +256,6 @@ def run_scenario(
         executions=executions,
         accuracy=mode,
         trace_path=trace_path,
-        backend=resolution.backend,
-        backend_reason=resolution.reason,
     )
 
 
@@ -276,7 +263,6 @@ def run_baseline(
     scenario: "Scenario | str",
     baseline: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
-    backend: Optional[str] = None,
 ) -> BaselineFigures:
     """Run the reference configuration once and reduce it to plain figures."""
     from repro.platform.build import platform_setup
@@ -286,7 +272,7 @@ def run_baseline(
     mode = AccuracyMode.from_name(accuracy)
     # The baseline never traces: a spec-enabled trace would clobber the DPM
     # run's output file and the reference run is not the run under study.
-    run = run_scenario(scenario, baseline, accuracy=mode, trace=False, backend=backend)
+    run = run_scenario(scenario, baseline, accuracy=mode, trace=False)
     return BaselineFigures(
         scenario=scenario.name,
         setup=baseline.name,
@@ -305,7 +291,6 @@ def run_comparison(
     accuracy: "AccuracyMode | str | None" = None,
     baseline_figures: Optional[BaselineFigures] = None,
     trace=None,
-    backend: Optional[str] = None,
 ) -> ScenarioMetrics:
     """Run ``scenario`` with the DPM and with the baseline; return Table-2 metrics.
 
@@ -314,8 +299,7 @@ def run_comparison(
     figures are identical to a freshly computed baseline.
 
     ``trace`` applies to the DPM run only (semantics as in
-    :func:`run_scenario`); the baseline run is never traced.  ``backend``
-    applies to both runs.
+    :func:`run_scenario`); the baseline run is never traced.
     """
     from repro.platform.build import platform_setup
 
@@ -323,9 +307,9 @@ def run_comparison(
     dpm = platform_setup(scenario, dpm, DpmSetup.paper, use_policy=True)
     baseline = platform_setup(scenario, baseline, DpmSetup.always_on)
     mode = AccuracyMode.from_name(accuracy)
-    dpm_run = run_scenario(scenario, dpm, accuracy=mode, trace=trace, backend=backend)
+    dpm_run = run_scenario(scenario, dpm, accuracy=mode, trace=trace)
     if baseline_figures is None:
-        baseline_figures = run_baseline(scenario, baseline, accuracy=mode, backend=backend)
+        baseline_figures = run_baseline(scenario, baseline, accuracy=mode)
     if not dpm_run.all_tasks_completed:
         raise ExperimentError(
             f"scenario {scenario.name!r}: the DPM run did not finish within the time budget"

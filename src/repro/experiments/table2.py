@@ -57,18 +57,13 @@ def simulation_speed(
     scenarios: Optional[Sequence[Scenario]] = None,
     dpm: Optional[DpmSetup] = None,
     accuracy: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
-    """Simulation throughput (kilo clock cycles per wall-clock second) per scenario.
-
-    ``backend`` selects the kernel event-queue implementation (``python``,
-    ``native`` or ``auto``; ``None`` consults ``REPRO_SIM_BACKEND``).
-    """
+    """Simulation throughput (kilo clock cycles per wall-clock second) per scenario."""
     scenarios = list(scenarios) if scenarios is not None else paper_scenarios()
     dpm = dpm or DpmSetup.paper()
     speeds: Dict[str, float] = {}
     for scenario in scenarios:
-        artefacts = run_scenario(scenario, dpm, accuracy=accuracy, backend=backend)
+        artefacts = run_scenario(scenario, dpm, accuracy=accuracy)
         speeds[scenario.name] = artefacts.kilocycles_per_second()
     return speeds
 

@@ -84,7 +84,6 @@ def run_fuzz(
     examples: int = 100,
     seed: int = 0,
     oracles: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
     corpus: Optional[Corpus] = None,
     max_ips: int = 3,
 ) -> FuzzReport:
@@ -115,7 +114,7 @@ def run_fuzz(
     @given(spec=platform_specs(max_ips=max_ips))
     def check(spec: PlatformSpec) -> None:
         report.runs += 1
-        result = run_differential(spec, oracles=oracles, backend=backend)
+        result = run_differential(spec, oracles=oracles)
         for verdict in result.verdicts:
             if verdict.status == "skip":
                 report.skips[verdict.oracle] = report.skips.get(verdict.oracle, 0) + 1
@@ -142,7 +141,6 @@ def replay_corpus(
     targets: Sequence[str],
     corpus: Optional[Corpus] = None,
     oracles: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> List[DifferentialResult]:
     """Replay corpus entries (paths, directories, or hash prefixes).
 
@@ -160,6 +158,4 @@ def replay_corpus(
                 specs.append(corpus.load(path))
         else:
             specs.append(corpus.load(target))
-    return [
-        run_differential(spec, oracles=oracles, backend=backend) for spec in specs
-    ]
+    return [run_differential(spec, oracles=oracles) for spec in specs]

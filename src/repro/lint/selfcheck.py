@@ -1,7 +1,7 @@
 """The determinism self-check: an AST lint over ``src/repro`` itself.
 
 The repo's correctness story leans on bit-identical replay: goldens pin
-exact-mode runs, the fuzz oracles compare backends event-for-event, and
+exact-mode runs, the fuzz oracles compare execution paths run-for-run, and
 the corpus replays byte-stable spec hashes.  All of that dies quietly the
 moment simulation code reads a wall clock, draws from the process-global
 RNG, or lets float rounding into the integer-femtosecond timeline.  This

@@ -105,10 +105,9 @@ EVENT_TYPES: Dict[str, EventType] = dict(
     [
         _event(
             "sim.backend",
-            "kernel backend and versions of one traced run (emitted once, "
-            "at instrumentation time)",
+            "kernel backend (always \"python\") and interpreter version of "
+            "one traced run (emitted once, at instrumentation time)",
             {"backend": _is_str, "python": _is_str},
-            {"reason": _is_str, "core_version": _is_str},
         ),
         _event(
             "task.request",

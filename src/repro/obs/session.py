@@ -22,6 +22,7 @@ fast accuracy mode (exact mode is unaffected).
 
 from __future__ import annotations
 
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -81,29 +82,17 @@ class TraceRequest:
 def instrument(soc: "SoC", tracer: Tracer) -> None:
     """Point every instrumented component of a built SoC at ``tracer``.
 
-    Emits one ``sim.backend`` event recording the kernel backend that runs
-    the trace (plus interpreter/core versions, and the fallback reason when
-    a native request could not be honoured), one ``psm.state`` event per IP
-    so sinks know the initial state, and seeds the SoC's level-change
-    trackers with the current battery and thermal levels.
+    Emits one ``sim.backend`` event recording the kernel backend (always
+    ``python``) and interpreter version of the trace, one ``psm.state``
+    event per IP so sinks know the initial state, and seeds the SoC's
+    level-change trackers with the current battery and thermal levels.
     """
     now_fs = soc.kernel.now_fs
     soc._tracer = tracer
     soc._traced_battery_level = soc.battery.level
     soc._traced_thermal_level = soc.thermal.level
-    resolution = getattr(soc.kernel, "backend_resolution", None)
-    if resolution is not None:
-        import platform
-
-        from repro.sim.native import load as load_native_core
-
-        fields = {"backend": resolution.backend,
-                  "python": platform.python_version()}
-        if resolution.reason:
-            fields["reason"] = resolution.reason
-        if resolution.backend == "native":
-            fields["core_version"] = load_native_core().CORE_VERSION
-        tracer.emit(now_fs, "sim.backend", soc.name, **fields)
+    tracer.emit(now_fs, "sim.backend", soc.name, backend="python",
+                python=platform.python_version())
     for instance in soc.instances:
         ip_name = instance.spec.name
         instance.ip._tracer = tracer

@@ -11,7 +11,6 @@ from repro.sim.clock import Clock
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel, KernelStatistics
 from repro.sim.module import Module
-from repro.sim.native import BackendResolution, resolve_backend
 from repro.sim.port import InOutPort, InPort, OutPort, Port
 from repro.sim.process import AllOf, AnyOf, MethodProcess, Process, ThreadProcess
 from repro.sim.signal import Signal
@@ -33,7 +32,6 @@ __all__ = [
     "AccuracyMode",
     "AllOf",
     "AnyOf",
-    "BackendResolution",
     "Clock",
     "Event",
     "InOutPort",
@@ -57,7 +55,6 @@ __all__ = [
     "ms",
     "ns",
     "ps",
-    "resolve_backend",
     "sec",
     "us",
 ]

@@ -38,7 +38,6 @@ from typing import Callable, Deque, List, Optional, Set
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import Event, TimedQueue
-from repro.sim.native import BackendResolution, load as _load_native_core, resolve_backend
 from repro.sim.process import MethodProcess, Process, ThreadProcess
 from repro.sim.simtime import SimTime, ZERO_TIME
 
@@ -76,20 +75,9 @@ class KernelStatistics:
 
 
 class Kernel:
-    """Discrete-event scheduler with SystemC evaluate/update/delta semantics.
+    """Discrete-event scheduler with SystemC evaluate/update/delta semantics."""
 
-    ``backend`` selects the timed-queue implementation: ``"python"`` (the
-    reference heap, default), ``"native"`` (the compiled heap of
-    :mod:`repro.sim._nativecore`, bit-identical pop order) or ``"auto"``;
-    ``None`` consults ``REPRO_SIM_BACKEND``.  An explicit ``native`` request
-    falls back to Python when the extension is not built — the resolution
-    (with the fallback reason) is exposed as :attr:`backend_resolution`.
-    """
-
-    def __init__(self, backend: Optional[str] = None) -> None:
-        resolution = resolve_backend(backend)
-        self.backend_resolution: BackendResolution = resolution
-        self.backend: str = resolution.backend
+    def __init__(self) -> None:
         self._now_fs: int = 0
         self._now: SimTime = ZERO_TIME  # cached SimTime view of _now_fs
         # Runnable entries are either a bare Process (timed wake, the common
@@ -102,10 +90,7 @@ class Kernel:
         self._delta_scheduled: Set[Event] = set()
         self._update_queue: List = []
         self._update_scheduled: Set = set()
-        if resolution.backend == "native":
-            self._timed = _load_native_core().TimedQueue()
-        else:
-            self._timed = TimedQueue()
+        self._timed = TimedQueue()
         self._processes: List[Process] = []
         self._initialized = False
         self._stop_requested = False

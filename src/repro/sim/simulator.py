@@ -37,7 +37,6 @@ class SimulationReport:
     wall_clock_seconds: float = 0.0
     kernel_stats: Dict[str, int] = field(default_factory=dict)
     cycles_simulated: float = 0.0
-    backend: str = "python"
 
     @property
     def kilocycles_per_second(self) -> float:
@@ -53,7 +52,6 @@ class SimulationReport:
             "wall_clock_s": self.wall_clock_seconds,
             "cycles_simulated": self.cycles_simulated,
             "kilocycles_per_second": self.kilocycles_per_second,
-            "backend": self.backend,
             **self.kernel_stats,
         }
 
@@ -66,25 +64,14 @@ class Simulator:
         name: str = "sim",
         trace: bool = False,
         accuracy: "AccuracyMode | str" = AccuracyMode.EXACT,
-        backend: Optional[str] = None,
     ) -> None:
         self.name = name
         self.accuracy = AccuracyMode.from_name(accuracy)
-        self.kernel = Kernel(backend=backend)
+        self.kernel = Kernel()
         self._top_modules: List[Module] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
         self._elaborated = False
         self._last_report = SimulationReport()
-
-    @property
-    def backend(self) -> str:
-        """The timed-queue backend in effect (``"python"`` or ``"native"``)."""
-        return self.kernel.backend
-
-    @property
-    def backend_resolution(self):
-        """Full :class:`~repro.sim.native.BackendResolution` of this run."""
-        return self.kernel.backend_resolution
 
     # -- construction ------------------------------------------------------
     def add_module(self, module: Module) -> Module:
@@ -151,7 +138,6 @@ class Simulator:
             wall_clock_seconds=wall_elapsed,
             kernel_stats=self.kernel.stats.as_dict(),
             cycles_simulated=cycles,
-            backend=self.kernel.backend,
         )
         return self._last_report
 

@@ -312,7 +312,6 @@ def build_soc(
     dpm: Optional[DpmSetup] = None,
     simulator: Optional[Simulator] = None,
     accuracy: Optional[object] = None,
-    backend: Optional[str] = None,
 ) -> SoC:
     """Build the complete SoC of Fig. 1.
 
@@ -331,11 +330,6 @@ def build_soc(
         Accuracy mode of the run (:class:`~repro.sim.accuracy.AccuracyMode`
         or its name).  Defaults to ``exact``; when a ``simulator`` is passed
         its mode wins and a conflicting ``accuracy`` raises.
-    backend:
-        Kernel backend of the run (``"python"``, ``"native"`` or ``"auto"``;
-        see :mod:`repro.sim.native`).  Defaults to the ``REPRO_SIM_BACKEND``
-        environment variable; when a ``simulator`` is passed its backend
-        wins and a conflicting explicit ``backend`` raises.
     """
     # Imported here (not at module level) to keep repro.soc importable on its
     # own: repro.dpm depends on repro.soc.task, so a module-level import in
@@ -356,22 +350,12 @@ def build_soc(
         simulator = Simulator(
             name=soc_config.name,
             accuracy=AccuracyMode.from_name(accuracy),
-            backend=backend,
         )
-    else:
-        if accuracy is not None and AccuracyMode.from_name(accuracy) is not simulator.accuracy:
-            raise ConfigurationError(
-                f"accuracy {accuracy!r} conflicts with the simulator's mode "
-                f"{simulator.accuracy.value!r}"
-            )
-        if backend is not None:
-            from repro.sim.native import resolve_backend
-
-            if resolve_backend(backend).backend != simulator.backend:
-                raise ConfigurationError(
-                    f"backend {backend!r} conflicts with the simulator's "
-                    f"backend {simulator.backend!r}"
-                )
+    elif accuracy is not None and AccuracyMode.from_name(accuracy) is not simulator.accuracy:
+        raise ConfigurationError(
+            f"accuracy {accuracy!r} conflicts with the simulator's mode "
+            f"{simulator.accuracy.value!r}"
+        )
     soc = SoC(simulator, soc_config)
     simulator.add_module(soc)
 

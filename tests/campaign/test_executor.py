@@ -147,6 +147,24 @@ class TestRunCampaign:
         assert record["status"] == "timeout"
         assert "timeout" in record["error"]["message"]
 
+    def test_swallowed_alarm_still_reports_a_timeout(self, monkeypatch):
+        # The alarm can land in code that swallows its exception (a gc
+        # callback does); the overrun job must still be recorded as a timeout.
+        import repro.experiments.runner as runner
+        from repro.campaign.executor import _JobTimeout
+
+        def swallowing_run(*_args, **_kwargs):
+            swallowed = False
+            while not swallowed:
+                try:
+                    sum(range(1000))
+                except _JobTimeout:
+                    swallowed = True
+
+        monkeypatch.setattr(runner, "run_comparison", swallowing_run)
+        record = execute_job(small_spec().jobs()[0].to_dict(), timeout_s=0.005)
+        assert record["status"] == "timeout"
+
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(CampaignError):
             run_campaign(small_spec(), tmp_path, workers=0)

@@ -16,22 +16,9 @@ import pytest
 from repro.dpm import DpmSetup
 from repro.experiments import run_comparison, scenario_by_name
 from repro.sim import Clock, Simulator, us
-from repro.sim.native import available as _native_available
 from repro.soc.soc import build_soc
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "scenario_metrics.json"
-
-#: both kernel backends: the compiled event heap must reproduce the golden
-#: trajectories bit-for-bit, not just approximately
-BACKENDS = [
-    "python",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not _native_available(), reason="native core extension not built"
-        ),
-    ),
-]
 
 #: ScenarioMetrics float fields pinned bit-exactly (hex) in the golden file.
 _FLOAT_FIELDS = (
@@ -53,13 +40,10 @@ def _load_golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scenario_name", ["A1", "A2", "A3", "A4", "B", "C"])
-def test_scenario_metrics_bit_identical_to_pre_refactor_goldens(scenario_name, backend):
+def test_scenario_metrics_bit_identical_to_pre_refactor_goldens(scenario_name):
     golden = _load_golden()[scenario_name]
-    metrics = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(), backend=backend
-    )
+    metrics = run_comparison(scenario_by_name(scenario_name), DpmSetup.paper())
     mismatches = {}
     for field in _FLOAT_FIELDS:
         got = getattr(metrics, field)

@@ -82,7 +82,6 @@ class TestRunDifferential:
         assert statuses["bus_timing"] == "pass"
         assert statuses["policy"] == "pass"
         assert statuses["structural"] == "pass"
-        assert statuses["backend_parity"] in ("pass", "skip")
 
     def test_bus_oracle_skips_without_a_bus(self):
         result = run_differential(tiny_spec(), oracles=["bus_timing"])

@@ -42,7 +42,7 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["fuzz", "run"])
         assert args.examples == 100 and args.seed == 0
-        assert args.oracles is None and args.backend is None
+        assert args.oracles is None
 
     def test_replay_accepts_targets(self):
         args = build_parser().parse_args(["fuzz", "replay", "abc123", "def456"])

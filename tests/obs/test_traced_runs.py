@@ -85,12 +85,11 @@ def test_every_emitted_event_validates_against_the_schema(tmp_path, accuracy):
 
 def test_trace_records_the_resolved_backend(tmp_path):
     """Every traced run opens with one sim.backend event naming the kernel
-    backend and interpreter version actually in effect."""
+    backend (always python) and the interpreter version."""
     import platform
 
     path = tmp_path / "backend.jsonl"
-    run_scenario("A1", trace=TraceRequest(format="jsonl", path=str(path)),
-                 backend="python")
+    run_scenario("A1", trace=TraceRequest(format="jsonl", path=str(path)))
     events = [json.loads(line) for line in path.read_text().splitlines()]
     backend_events = [e for e in events if e["kind"] == "sim.backend"]
     assert len(backend_events) == 1
@@ -98,21 +97,7 @@ def test_trace_records_the_resolved_backend(tmp_path):
     assert event["t_fs"] == 0
     assert event["backend"] == "python"
     assert event["python"] == platform.python_version()
-    assert "reason" not in event  # an honoured request has nothing to explain
-
-
-def test_trace_records_the_native_backend_when_built(tmp_path):
-    from repro.sim.native import available
-
-    if not available():
-        pytest.skip("native core extension not built")
-    path = tmp_path / "backend.jsonl"
-    run_scenario("A1", trace=TraceRequest(format="jsonl", path=str(path)),
-                 backend="native")
-    events = [json.loads(line) for line in path.read_text().splitlines()]
-    event = next(e for e in events if e["kind"] == "sim.backend")
-    assert event["backend"] == "native"
-    assert event["core_version"]
+    assert set(event) == {"t_fs", "kind", "source", "backend", "python"}
 
 
 def test_event_timestamps_are_monotonic(tmp_path):

@@ -2,6 +2,8 @@
 femtosecond timed queue (lazy-cancellation compaction), and determinism of
 simultaneous timed notifications."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,65 @@ class TestTimedQueueCompaction:
                     return order
                 order.extend(queue.pop_due(when))
         assert drain(compacted) == drain(reference)
+
+    def test_fifo_order_among_ties(self):
+        """Entries at the same femtosecond pop in push order."""
+        queue = TimedQueue()
+        for tag in range(20):
+            queue.push(100, ("tie", tag))
+        queue.push(50, "early")
+        assert queue.pop_due(50) == ["early"]
+        assert queue.pop_due(100) == [("tie", tag) for tag in range(20)]
+        assert len(queue) == 0
+
+    def test_cancel_after_pop_is_a_noop(self):
+        queue = TimedQueue()
+        handle = queue.push(5, "x")
+        assert queue.pop_due(5) == ["x"]
+        queue.cancel(handle)  # must not corrupt the counters
+        assert len(queue) == 0
+        assert queue.next_time_fs() is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_randomized_interleaving_matches_sorted_list_model(self, seed):
+        """Thousands of random push/cancel/pop steps, checked step by step
+        against a plain list of live ``(time, push order, payload)`` entries:
+        pop order (ties included), earliest time and live length.  Handles
+        stay cancellable after their entry popped, so stale cancels are
+        exercised too."""
+        rng = random.Random(seed)
+        queue = TimedQueue()
+        model = []  # live entries, kept sorted by (time, push order)
+        handles = {}  # push order -> queue handle, until cancelled
+        clock = 0
+        for step in range(5000):
+            roll = rng.random()
+            if roll < 0.55:
+                when = clock + rng.randrange(0, 50)
+                handles[step] = queue.push(when, step)
+                model.append((when, step, step))
+                model.sort()
+            elif roll < 0.85 and handles:
+                key = rng.choice(sorted(handles))
+                queue.cancel(handles.pop(key))
+                model = [entry for entry in model if entry[1] != key]
+            else:
+                expected = model[0][0] if model else None
+                assert queue.next_time_fs() == expected
+                if expected is not None:
+                    clock = expected
+                    due = [entry for entry in model if entry[0] == clock]
+                    model = model[len(due):]
+                    assert queue.pop_due(clock) == [entry[2] for entry in due]
+            assert len(queue) == len(model)
+            assert queue.heap_size >= len(queue)
+        # Drain completely; the full remaining order must agree.
+        while (when := queue.next_time_fs()) is not None:
+            due = [entry[2] for entry in model if entry[0] == when]
+            model = model[len(due):]
+            assert queue.pop_due(when) == due
+        assert model == []
+        assert len(queue) == 0
 
     def test_kernel_pending_activity_ignores_cancelled_only_timed_entries(self):
         kernel = Kernel()

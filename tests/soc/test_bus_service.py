@@ -13,19 +13,7 @@ from repro.soc import (
     Task,
     periodic_workload,
 )
-from repro.sim.native import available as _native_available
 from repro.soc.service import ServiceRequest
-
-#: both kernel backends, for the timing-mode equivalence contract
-BACKENDS = [
-    "python",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not _native_available(), reason="native core extension not built"
-        ),
-    ),
-]
 
 
 class TestBus:
@@ -534,18 +522,15 @@ class TestCycleAccurateBus:
             if value:  # rising edge == a grant
                 assert instant % period_fs == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equivalence_with_event_driven_within_one_bus_period(self, backend):
+    def test_equivalence_with_event_driven_within_one_bus_period(self):
         # Same contention pattern in both timing modes: every completion of
         # the cycle-accurate run lands within one bus period of its
         # event-driven counterpart (words are multiples of words_per_cycle,
-        # so only the grant alignment differs, never the duration).  Runs on
-        # both kernel backends: arbitration timing must not depend on the
-        # event-heap implementation.
+        # so only the grant alignment differs, never the duration).
         pattern = [("m0", 0.0, 8), ("m1", 3.0, 12), ("m2", 7.0, 4)]
 
         def run(timing):
-            sim = Simulator(backend=backend)
+            sim = Simulator()
             bus = Bus(
                 sim.kernel,
                 "bus",
