@@ -2,9 +2,9 @@
 
 Folds the per-commit ``BENCH_sim_speed.json`` artifacts produced by the CI
 ``bench-smoke`` job into a running ``BENCH_history.json`` plus a markdown
-table (Kcycle/s per commit, exact vs fast accuracy mode), and gates merges:
-the job fails when an ``exact``-mode benchmark regresses by more than the
-threshold against the previous recorded run.
+table (Kcycle/s per commit), and gates merges: the job fails when any
+benchmark regresses by more than the threshold against the previous recorded
+runs.
 
 Usage (what the ``bench-dashboard`` CI job runs)::
 
@@ -43,9 +43,9 @@ MAX_ENTRIES = 200
 def extract_results(bench_json: dict) -> Dict[str, float]:
     """Pull ``{benchmark-label: Kcycle/s}`` out of a pytest-benchmark report.
 
-    The label is ``<scenario>/<accuracy>`` when the benchmark recorded that
-    metadata (see ``bench_sim_speed.py``); other benchmarks fall back to
-    their test name and whatever throughput figure they exposed.
+    The label is the ``scenario`` the benchmark recorded (see
+    ``bench_sim_speed.py``); other benchmarks fall back to their test name
+    and whatever throughput figure they exposed.
     """
     results: Dict[str, float] = {}
     for bench in bench_json.get("benchmarks", []):
@@ -53,12 +53,7 @@ def extract_results(bench_json: dict) -> Dict[str, float]:
         speed = extra.get("kilocycles_per_second")
         if speed is None:
             continue
-        scenario = extra.get("scenario")
-        accuracy = extra.get("accuracy", "exact")
-        if scenario:
-            label = f"{scenario}/{accuracy}"
-        else:
-            label = bench.get("name", "unknown")
+        label = extra.get("scenario") or bench.get("name", "unknown")
         results[label] = float(speed)
     return results
 
@@ -89,32 +84,24 @@ def append_entry(
 def find_regressions(
     history: dict,
     threshold: float,
-    gated_suffix: str = "/exact",
     reference_window: int = 3,
 ) -> List[Tuple[str, float, float, float]]:
     """Compare the newest entry against recent history.
 
-    Returns ``(label, reference, current, drop_fraction)`` for every gated
-    benchmark (``exact`` accuracy mode by default) whose throughput dropped
-    by more than ``threshold`` against the *median of the last
-    ``reference_window`` prior entries* — single-round wall-clock figures on
-    shared CI runners are noisy, and the median damps one slow previous run
-    from poisoning the reference (and one slow current run still has to
-    undercut the median of three to fail).  Fast-mode figures are tracked
-    but not gated: they share the exact-mode simulation and their extra
-    variance would make the gate flaky.
+    Returns ``(label, reference, current, drop_fraction)`` for every
+    benchmark whose throughput dropped by more than ``threshold`` against
+    the *median of the last ``reference_window`` prior entries* —
+    single-round wall-clock figures on shared CI runners are noisy, and the
+    median damps one slow previous run from poisoning the reference (and
+    one slow current run still has to undercut the median of three to
+    fail).  A series the newest entry did not record is not gated.
     """
     entries = history.get("entries", [])
     if len(entries) < 2:
         return []
     current = entries[-1]["results"]
     window = entries[-1 - reference_window : -1] or entries[-2:-1]
-    labels = {
-        label
-        for entry in window
-        for label in entry["results"]
-        if label.endswith(gated_suffix)
-    }
+    labels = {label for entry in window for label in entry["results"]}
     regressions = []
     for label in sorted(labels):
         speeds = [
@@ -140,8 +127,7 @@ def render_markdown(history: dict, max_rows: int = 25) -> str:
     lines = [
         "# Simulation-speed dashboard",
         "",
-        "Kcycle/s per commit (`exact` is the gated reference mode; `fast` is",
-        "the opt-in toleranced accuracy mode — see README \"Accuracy modes\").",
+        "Kcycle/s per commit.",
         "",
         "| commit | " + " | ".join(labels) + " |",
         "|---" * (len(labels) + 1) + "|",
@@ -175,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fail-threshold",
         type=float,
         default=0.20,
-        help="fail on an exact-mode drop larger than this fraction (default 0.20)",
+        help="fail on a drop larger than this fraction (default 0.20)",
     )
     args = parser.parse_args(argv)
 

@@ -28,25 +28,24 @@ def _warm_up() -> None:
     variants through this single warm-up keeps that one-time cost out of
     every timed region.
     """
-    run_scenario(scenario_by_name("A1"), DpmSetup.paper(), accuracy="fast")
+    run_scenario(scenario_by_name("A1"), DpmSetup.paper())
 
 
-def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float):
+def _bench_scenario(benchmark, name: str, paper_kcps: float):
     """One measured scenario run; results land in ``extra_info`` for the
     longitudinal dashboard (``benchmarks/bench_dashboard.py``)."""
     _warm_up()
 
     def run():
-        return run_scenario(scenario_by_name(name), DpmSetup.paper(), accuracy=accuracy)
+        return run_scenario(scenario_by_name(name), DpmSetup.paper())
 
     artefacts = benchmark.pedantic(run, rounds=1, iterations=1)
     speed = artefacts.kilocycles_per_second()
     benchmark.extra_info["kilocycles_per_second"] = round(speed, 1)
     benchmark.extra_info["paper_kilocycles_per_second"] = paper_kcps
     benchmark.extra_info["scenario"] = name
-    benchmark.extra_info["accuracy"] = accuracy
     print(
-        f"\n[sim-speed {name}/{accuracy}] {speed:.0f} Kcycle/s "
+        f"\n[sim-speed {name}] {speed:.0f} Kcycle/s "
         f"(paper: {paper_kcps:g} Kcycle/s on 2005 hardware)"
     )
     assert speed > paper_kcps  # abstract Python model outruns the 2005 RTL setup
@@ -55,25 +54,13 @@ def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float):
 @pytest.mark.benchmark(group="sim-speed")
 def test_simulation_speed_single_ip(benchmark):
     """Throughput of a full A-style scenario (paper: 35 Kcycle/s)."""
-    _bench_scenario(benchmark, "A1", "exact", 35.0)
+    _bench_scenario(benchmark, "A1", 35.0)
 
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_simulation_speed_multi_ip(benchmark):
     """Throughput of the four-IP GEM scenario (paper: 7.5 Kcycle/s)."""
-    _bench_scenario(benchmark, "B", "exact", 7.5)
-
-
-@pytest.mark.benchmark(group="sim-speed")
-def test_simulation_speed_single_ip_fast(benchmark):
-    """A1 under the toleranced fast accuracy mode."""
-    _bench_scenario(benchmark, "A1", "fast", 35.0)
-
-
-@pytest.mark.benchmark(group="sim-speed")
-def test_simulation_speed_multi_ip_fast(benchmark):
-    """B under the toleranced fast accuracy mode."""
-    _bench_scenario(benchmark, "B", "fast", 7.5)
+    _bench_scenario(benchmark, "B", 7.5)
 
 
 @pytest.mark.benchmark(group="sim-speed")
@@ -90,10 +77,7 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
     request = TraceRequest(format="jsonl", path=str(tmp_path / "a1.jsonl"))
 
     def run():
-        return run_scenario(
-            scenario_by_name("A1"), DpmSetup.paper(), accuracy="exact",
-            trace=request,
-        )
+        return run_scenario(scenario_by_name("A1"), DpmSetup.paper(), trace=request)
 
     artefacts = benchmark.pedantic(run, rounds=1, iterations=1)
     assert artefacts.trace_path is not None
@@ -101,7 +85,6 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
     benchmark.extra_info["kilocycles_per_second"] = round(speed, 1)
     benchmark.extra_info["paper_kilocycles_per_second"] = 35.0
     benchmark.extra_info["scenario"] = "A1-traced"
-    benchmark.extra_info["accuracy"] = "exact"
     print(f"\n[sim-speed A1/traced] {speed:.0f} Kcycle/s")
     assert speed > 35.0
 
@@ -141,7 +124,6 @@ def _bench_bus(benchmark, timing: str):
     speed = artefacts.kilocycles_per_second()
     benchmark.extra_info["kilocycles_per_second"] = round(speed, 1)
     benchmark.extra_info["scenario"] = f"BUS-{'CA' if timing == 'cycle_accurate' else 'ED'}"
-    benchmark.extra_info["accuracy"] = "exact"
     benchmark.extra_info["bus_timing"] = timing
     benchmark.extra_info["bus_occupancy_pct"] = round(100.0 * bus.occupancy(), 1)
     print(

@@ -68,10 +68,6 @@ class Battery:
         # and LEM estimate), so cache the classification per remaining value.
         self._level_cache_remaining_j: float = float("nan")
         self._level_cache: Optional[BatteryLevel] = None
-        # Fast accuracy mode installs a callback that lazily replays the
-        # pending sampler windows before the state is observed; exact mode
-        # leaves it None and pays one attribute check per read.
-        self._sync_hook = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -87,8 +83,6 @@ class Battery:
     @property
     def state_of_charge(self) -> float:
         """Remaining fraction of the nominal capacity, in [0, 1]."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         if self._remaining_j != self._soc_cache_remaining_j:
             self._soc_cache_remaining_j = self._remaining_j
             self._soc_cache = max(0.0, min(1.0, self._remaining_j / self.config.capacity_j))
@@ -114,13 +108,11 @@ class Battery:
         """Quantised battery level (or ``AC_POWER`` when on mains)."""
         if self.config.on_ac_power:
             return BatteryLevel.AC_POWER
-        if self._sync_hook is not None:
-            self._sync_hook()
         remaining = self._remaining_j
         if remaining != self._level_cache_remaining_j:
             self._level_cache_remaining_j = remaining
-            # Inline state_of_charge (the property would re-run the sync
-            # hook this method just ran).
+            # Inline state_of_charge (one property call fewer on this hot
+            # path; GEM evaluations and LEM estimates read the level).
             if remaining != self._soc_cache_remaining_j:
                 self._soc_cache_remaining_j = remaining
                 self._soc_cache = max(0.0, min(1.0, remaining / self.config.capacity_j))
@@ -137,8 +129,6 @@ class Battery:
             return BatteryLevel.AC_POWER
         if energy_j < 0.0:
             raise BatteryError("estimated energy must be non-negative")
-        if self._sync_hook is not None:
-            self._sync_hook()
         projected = max(0.0, self._remaining_j - energy_j) / self.config.capacity_j
         return self.config.thresholds.classify(min(1.0, projected))
 
@@ -190,7 +180,10 @@ class Battery:
     def drain_windows(self, energy_per_window_j: float, window: SimTime, count: int) -> None:
         """Drain ``count`` equal sampling windows in one closed-form step.
 
-        Fast accuracy mode only.  When the per-window average power stays at
+        Nothing in the library calls this any more: its only caller was a
+        lazily replaying sampler engine that has since been removed.  It is
+        kept because ``perfbench/tracer.py`` resolves it by name; delete both
+        together.  When the per-window average power stays at
         or below the nominal discharge power (rate factor 1.0) and there is
         neither self-discharge nor a clamp at empty, ``count`` successive
         :meth:`draw_energy` calls reduce the charge by exactly

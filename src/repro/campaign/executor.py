@@ -123,9 +123,7 @@ def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = N
     try:
         scenario = build_scenario(job.scenario, seed=job.seed)
         figures = _run_with_timeout(
-            lambda: run_baseline(
-                scenario, build_setup(job.baseline), accuracy=job.accuracy
-            ),
+            lambda: run_baseline(scenario, build_setup(job.baseline)),
             timeout_s,
         )
     except _JobTimeout:
@@ -191,7 +189,6 @@ def execute_job(
                 scenario,
                 dpm=build_setup(job.setup),
                 baseline=build_setup(job.baseline),
-                accuracy=job.accuracy,
                 baseline_figures=figures,
                 trace=trace_request,
             ),
@@ -360,8 +357,8 @@ def run_campaign(
     wall_start = time.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
 
     # ------------------------------------------------------------------
-    # Shared baselines: one run per (scenario, baseline, seed, accuracy)
-    # cell instead of one per job.  Missing cells are computed first (through
+    # Shared baselines: one run per (scenario, baseline, seed) cell instead
+    # of one per job.  Missing cells are computed first (through
     # the same pool), stored, and handed to the jobs as plain figures; a
     # failed baseline cell simply makes its jobs recompute their own.
     # ------------------------------------------------------------------

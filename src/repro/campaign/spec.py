@@ -321,24 +321,20 @@ class JobSpec:
     setup: Mapping[str, Any]
     baseline: Mapping[str, Any]
     seed: Optional[int] = None
-    accuracy: str = "exact"
+
+    #: The accuracy mode of every job; a constant, not a field.  Records
+    #: and baseline keys still carry it so stores written while a second
+    #: mode existed stay valid, and ``perfbench/workloads.py`` reads it.
+    accuracy = "exact"
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data view used for hashing, storage and the worker pool.
-
-        ``accuracy`` is only included when it differs from ``exact``, so the
-        job ids of pre-accuracy-mode campaigns (and their stored results)
-        remain valid for ``--resume``.
-        """
-        data = {
+        """Plain-data view used for hashing, storage and the worker pool."""
+        return {
             "scenario": dict(self.scenario),
             "setup": dict(self.setup),
             "baseline": dict(self.baseline),
             "seed": self.seed,
         }
-        if self.accuracy != "exact":
-            data["accuracy"] = self.accuracy
-        return data
 
     @staticmethod
     def from_dict(value: Mapping[str, Any]) -> "JobSpec":
@@ -348,7 +344,6 @@ class JobSpec:
             setup=dict(value["setup"]),
             baseline=dict(value["baseline"]),
             seed=value.get("seed"),
-            accuracy=str(value.get("accuracy", "exact")),
         )
 
     @property
@@ -360,9 +355,10 @@ class JobSpec:
     def baseline_key(self) -> str:
         """Content address of this job's baseline run.
 
-        Keyed by (scenario, baseline setup, seed, accuracy mode) only — the
-        DPM setup under study does not influence the baseline — so every job
-        of a grid that shares a scenario cell shares one baseline run.
+        Keyed by (scenario, baseline setup, seed) and the constant accuracy
+        entry only — the DPM setup under study does not influence the
+        baseline — so every job of a grid that shares a scenario cell shares
+        one baseline run.
         """
         return job_hash(
             {
@@ -395,15 +391,10 @@ class CampaignSpec:
     baseline: Dict[str, Any] = field(default_factory=lambda: {"name": "always-on"})
     description: str = ""
     job_timeout_s: Optional[float] = None
-    accuracy: str = "exact"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("a campaign needs a name")
-        if self.accuracy not in ("exact", "fast"):
-            raise CampaignError(
-                f"unknown accuracy mode {self.accuracy!r} (expected 'exact' or 'fast')"
-            )
         if not self.scenarios:
             raise CampaignError(f"campaign {self.name!r} defines no scenarios")
         if not self.setups:
@@ -455,7 +446,6 @@ class CampaignSpec:
                             setup=setup,
                             baseline=self.baseline,
                             seed=seed,
-                            accuracy=self.accuracy,
                         )
                         if job.job_id not in seen:
                             seen.add(job.job_id)
@@ -477,8 +467,6 @@ class CampaignSpec:
             data["description"] = self.description
         if self.job_timeout_s is not None:
             data["job_timeout_s"] = self.job_timeout_s
-        if self.accuracy != "exact":
-            data["accuracy"] = self.accuracy
         return data
 
     @staticmethod
@@ -495,6 +483,12 @@ class CampaignSpec:
             raise CampaignError(f"unknown campaign fields: {sorted(unknown)}")
         if "name" not in value:
             raise CampaignError("a campaign spec needs a 'name'")
+        accuracy = value.get("accuracy", "exact")
+        if accuracy != "exact":
+            raise CampaignError(
+                f"unknown accuracy mode {accuracy!r} (only 'exact' exists; "
+                "the toleranced 'fast' mode was removed)"
+            )
         kwargs: Dict[str, Any] = {"name": value["name"]}
         kwargs["scenarios"] = list(value.get("scenarios", []))
         if "setups" in value:
@@ -508,7 +502,6 @@ class CampaignSpec:
         kwargs["description"] = str(value.get("description", ""))
         if value.get("job_timeout_s") is not None:
             kwargs["job_timeout_s"] = float(value["job_timeout_s"])
-        kwargs["accuracy"] = str(value.get("accuracy", "exact"))
         return CampaignSpec(**kwargs)
 
     @staticmethod

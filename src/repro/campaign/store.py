@@ -39,7 +39,7 @@ class ResultStore:
 
     Baseline runs are stored separately under ``baselines/<key>.json`` keyed
     by :attr:`~repro.campaign.spec.JobSpec.baseline_key` — the hash of
-    (scenario, baseline setup, seed, accuracy mode) — so every job of a grid
+    (scenario, baseline setup, seed) — so every job of a grid
     cell shares one baseline simulation instead of re-running it per job.
     """
 

@@ -81,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command")
 
-    def add_accuracy_flag(sub) -> None:
-        sub.add_argument(
-            "--accuracy",
-            choices=["exact", "fast"],
-            default="exact",
-            help="accuracy mode: 'exact' (bit-identical reference) or 'fast' "
-            "(toleranced fast math; see README 'Accuracy modes')",
-        )
-
     def add_trace_flags(sub) -> None:
         sub.add_argument(
             "--trace",
@@ -126,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help="DPM configuration to evaluate against the always-on baseline",
     )
-    add_accuracy_flag(table2)
 
     scenario = subparsers.add_parser("scenario", help="run one scenario in detail")
     scenario.add_argument(
@@ -136,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--setup", choices=sorted(_SETUPS), default=None,
         help="DPM setup to evaluate (default: the platform's policy, else 'paper')",
     )
-    add_accuracy_flag(scenario)
     add_trace_flags(scenario)
 
     rules = subparsers.add_parser("rules", help="print or query the Table-1 rules")
@@ -194,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tasks", type=int, default=20, help="tasks per scenario")
 
     speed = subparsers.add_parser("speed", help="measure simulation speed (Kcycle/s)")
-    add_accuracy_flag(speed)
 
     subparsers.add_parser("breakeven", help="break-even times of the default IP")
 
@@ -230,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--quiet", action="store_true", help="do not print per-job progress lines"
-    )
-    campaign_run.add_argument(
-        "--accuracy",
-        choices=["exact", "fast"],
-        default=None,
-        help="override the spec's accuracy mode for every job",
     )
     campaign_run.add_argument(
         "--trace",
@@ -306,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--setup", choices=sorted(_SETUPS), default=None,
         help="DPM setup to evaluate (default: the spec's policy, else 'paper')",
     )
-    add_accuracy_flag(platform_run)
     add_trace_flags(platform_run)
 
     platform_diff = platform_sub.add_parser(
@@ -331,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle_flag(sub) -> None:
         sub.add_argument(
             "--oracles", default=None, metavar="NAMES",
-            help="comma-separated oracle subset (exact_vs_fast, bus_timing, "
-            "policy, structural, lint_reach); default: all",
+            help="comma-separated oracle subset (bus_timing, policy, "
+            "structural, lint_reach); default: all",
         )
 
     fuzz_run = fuzz_sub.add_parser(
@@ -392,7 +373,7 @@ def _cmd_table2(args) -> int:
         scenarios = [scenario_by_name(name) for name in args.scenarios]
     else:
         scenarios = paper_scenarios()
-    results = reproduce_table2(scenarios, dpm=_SETUPS[args.setup](), accuracy=args.accuracy)
+    results = reproduce_table2(scenarios, dpm=_SETUPS[args.setup]())
     print(render_comparison(results))
     return 0
 
@@ -407,11 +388,10 @@ def _cmd_scenario(args) -> int:
     setup = None if args.setup is None else _SETUPS[args.setup]()
     request = _trace_request(args, scenario)
     metrics = run_comparison(
-        scenario, dpm=setup, accuracy=args.accuracy,
-        trace=request if request is not None else False,
+        scenario, dpm=setup, trace=request if request is not None else False
     )
     setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics)
+    _print_comparison(scenario, setup_name, metrics)
     if request is not None:
         print(f"\ntrace written to {request.resolve_path(scenario.name)}")
     return 0
@@ -445,9 +425,9 @@ def _default_setup_name(scenario) -> str:
     return "paper"
 
 
-def _print_comparison(scenario, setup_name: str, accuracy: str, metrics) -> None:
+def _print_comparison(scenario, setup_name: str, metrics) -> None:
     print(f"Scenario {scenario.name}: {scenario.description}")
-    print(f"DPM setup: {setup_name} (accuracy: {accuracy})\n")
+    print(f"DPM setup: {setup_name}\n")
     rows = [
         ["energy saving (%)", f"{metrics.energy_saving_pct:.1f}"],
         ["temperature reduction (%)", f"{metrics.temperature_reduction_pct:.1f}"],
@@ -631,8 +611,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_speed(args) -> int:
     from repro.experiments.table2 import simulation_speed, simulation_speed_report
 
-    print(f"accuracy: {args.accuracy}")
-    print(simulation_speed_report(simulation_speed(accuracy=args.accuracy)))
+    print(simulation_speed_report(simulation_speed()))
     return 0
 
 
@@ -711,8 +690,6 @@ def _cmd_campaign_inner(args) -> int:
         return 2
     if args.campaign_command == "run":
         spec = CampaignSpec.from_file(args.spec)
-        if args.accuracy is not None:
-            spec.accuracy = args.accuracy
         directory = args.directory or os.path.join("campaigns", spec.name)
         if not args.no_preflight:
             # Lint here (not inside run_campaign) so the per-platform
@@ -826,11 +803,10 @@ def _cmd_platform_inner(args) -> int:
     setup = None if args.setup is None else _SETUPS[args.setup]()
     request = _trace_request(args, scenario)
     metrics = run_comparison(
-        scenario, dpm=setup, accuracy=args.accuracy,
-        trace=request if request is not None else False,
+        scenario, dpm=setup, trace=request if request is not None else False
     )
     setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics)
+    _print_comparison(scenario, setup_name, metrics)
     if request is not None:
         print(f"\ntrace written to {request.resolve_path(scenario.name)}")
     return 0

@@ -116,7 +116,6 @@ class GlobalEnergyManager(Module):
         bus: Optional[Bus] = None,
         config: Optional[GemConfig] = None,
         parent: Optional[Module] = None,
-        fast: bool = False,
     ) -> None:
         super().__init__(kernel, name, parent)
         self.battery_monitor = battery_monitor
@@ -148,25 +147,7 @@ class GlobalEnergyManager(Module):
         self._all_names: tuple = ()
         self._evaluations = 0
         self._fan_activations = 0
-        # Inputs of the last full evaluation: the periodic safety net only
-        # needs a full pass when one of them changed (every code path that
-        # can change the decision — requests, completions, grants, level
-        # crossings — either evaluates explicitly or updates the rank).
-        self._last_inputs = None
-        self._fast = fast
-        if fast:
-            # Fast accuracy mode: the periodic safety net only has an effect
-            # when the decision inputs changed since the last evaluation, and
-            # the sole input that can change *without* triggering an
-            # immediate evaluation is the best pending rank (at grant time).
-            # So instead of polling every interval, a one-shot tick is
-            # scheduled for the next grid point — the very instant the exact
-            # periodic process would have acted on the change.
-            self._tick_event = self.event("safety_tick")
-            self._tick_event.add_callback(self._on_safety_tick)
-            self._tick_scheduled_fs = -1
-        else:
-            self.add_thread(self._periodic_evaluation, name="evaluate")
+        self.add_thread(self._periodic_evaluation, name="evaluate")
         self.add_method(
             self._on_sensor_change,
             sensitivity=[
@@ -245,34 +226,6 @@ class GlobalEnergyManager(Module):
         """
         if self._priorities[ip_name] <= self._min_pending_rank:
             self._refresh_min_pending_rank()
-            if self._fast:
-                self._schedule_safety_tick()
-
-    def _schedule_safety_tick(self) -> None:
-        """Arm a one-shot evaluation at the next periodic grid point."""
-        kernel = self.kernel
-        now_fs = kernel._now_fs
-        interval_fs = int(self.config.evaluation_interval)
-        next_fs = (now_fs // interval_fs + 1) * interval_fs
-        if self._tick_scheduled_fs != next_fs:
-            self._tick_scheduled_fs = next_fs
-            self._tick_event.notify_after(SimTime(next_fs - now_fs))
-
-    def _on_safety_tick(self) -> None:
-        """One fast-mode safety tick: a full pass only when an input changed.
-
-        Every code path that can change the decision inputs — requests,
-        completions, grants, sensor level changes — either evaluates
-        explicitly or refreshes the pending rank (scheduling this tick), so
-        an unchanged input triple means the full pass would reproduce the
-        current maps, and its force-low-power sweep would find nothing new
-        to park: the idle/busy flips and transition ends the sweep reacts to
-        always coincide with an explicit evaluation in this architecture.
-        """
-        self._tick_scheduled_fs = -1
-        inputs = (self._battery.level, self._thermal.level, self._min_pending_rank)
-        if inputs != self._last_inputs:
-            self.evaluate()
 
     def _refresh_min_pending_rank(self) -> None:
         """Recompute the best (lowest) priority rank with a pending request."""
@@ -366,7 +319,6 @@ class GlobalEnergyManager(Module):
             new_enabled = self._none_enabled_map
             disabled = self._all_names
             fan_on = True
-        self._last_inputs = (battery, temperature, self._min_pending_rank)
         self._apply(new_enabled, disabled, fan_on)
 
     def _rebuild_rank_cache(self) -> None:
@@ -439,7 +391,6 @@ class GlobalEnergyManager(Module):
     # Processes
     # ------------------------------------------------------------------
     def _periodic_evaluation(self):
-        # Exact mode: the unconditional legacy safety sweep, unchanged.
         while True:
             yield self.config.evaluation_interval
             self.evaluate()

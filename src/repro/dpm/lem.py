@@ -127,7 +127,6 @@ class LocalEnergyManager(Module):
         static_priority: int = 1,
         config: Optional[LemConfig] = None,
         parent: Optional[Module] = None,
-        fast: bool = False,
     ) -> None:
         super().__init__(kernel, name, parent)
         if static_priority < 1:
@@ -158,27 +157,8 @@ class LocalEnergyManager(Module):
         self._idle_record: Optional[_IdleRecord] = None
         self._idle_sequence = 0
         self._last_completion: Optional[SimTime] = None
-        # Fast accuracy mode: the straight-line request path (enabled, rules
-        # answer an ON state) is served inline at submit time, with the
-        # grant finalised by a transition_complete callback instead of a
-        # process wake; idle decisions run from a delta-event callback.  The
-        # request-serving process remains for the deferral/disabled paths,
-        # and the idle process remains for timeout policies (which wait).
-        self._fast = fast
-        self._fast_awaiting: Optional[tuple] = None
-        self._fast_estimate: Optional[tuple] = None
-        if fast:
-            psm._completion_hooks.append(self._fast_grant_on_complete)
-            self._fast_idle_event = self.event("idle_decide")
-            self._fast_idle_event.add_callback(self._fast_idle_decision)
-            # GEM scenarios serve via a delta-event callback: it runs after
-            # every same-instant submission/registration (exactly when the
-            # serving process would have run) without the process wake.
-            self._fast_serve_event = self.event("serve_step")
-            self._fast_serve_event.add_callback(self._fast_serve_step)
         self.add_thread(self._serve_requests, name="serve")
-        if not (fast and not self.policy.uses_timeout):
-            self.add_thread(self._manage_idle, name="idle")
+        self.add_thread(self._manage_idle, name="idle")
         if self.gem is not None:
             self.gem.register_lem(self, static_priority)
 
@@ -208,87 +188,8 @@ class LocalEnergyManager(Module):
         if self.gem is not None:
             estimated = self._estimate_task_energy(task)
             self.gem.register_request(self.ip_name, estimated)
-        if self._fast:
-            if self.gem is None:
-                if self._fast_submit(grant):
-                    return grant
-            else:
-                # Always defer to the delta callback: it runs after every
-                # same-instant submission has registered with the GEM
-                # (exactly when the serving process would run), so another
-                # IP submitting at the same femtosecond is still reflected
-                # in this request's pending-energy estimate.
-                self._fast_serve_event.notify_delta()
-                return grant
         self._request_event.notify()
         return grant
-
-    # ------------------------------------------------------------------
-    # Fast-mode inline serving
-    # ------------------------------------------------------------------
-    def _fast_submit(self, grant: TaskGrant) -> bool:
-        """Serve the straight-line request path inline; False to delegate.
-
-        Only without a GEM: a grant is then invisible to every other IP, and
-        the serving process would run within the same simulated instant and
-        observe exactly the same battery/thermal state, so estimating and
-        starting the PSM transition here changes no figure and no event
-        time — only the number of kernel activations.  With a GEM, granting
-        inline would reorder the grant against other IPs' same-instant
-        submissions (the pending-rank sequence the GEM sees), so the
-        process path is kept.
-        """
-        if self.gem is not None:
-            return False
-        return self._fast_try_grant(grant)
-
-    def _fast_serve_step(self) -> None:
-        """Delta-callback serve step for GEM scenarios.
-
-        Falls back to the serving process for the paths that need to wait
-        and re-evaluate (GEM-disabled, rule deferrals); the process then
-        re-estimates within the same simulated instant, so its decisions
-        and their timing are unchanged.
-        """
-        grant = self._pending_grant
-        if grant is None or grant.granted or self._fast_awaiting is not None:
-            return
-        if self.gem is not None and not self.gem.is_enabled(self.ip_name):
-            self._request_event.notify()
-            return
-        if not self._fast_try_grant(grant):
-            self._request_event.notify()
-
-    def _fast_try_grant(self, grant: TaskGrant) -> bool:
-        """Estimate, select and grant (or await the transition); shared tail
-        of the two inline fast paths.  False means the rules answered a
-        sleep state — a deferral the serving process must own (it runs the
-        periodic re-evaluation loop)."""
-        context = self._estimate_context(grant.task)
-        selected = self.policy.select_on_state(context)
-        if not selected.is_on:
-            return False
-        psm = self.psm
-        if psm.state is not selected or psm.is_transitioning:
-            psm.request_state(selected)
-            if psm.state is not selected or psm.is_transitioning:
-                # Grant when the in-flight transition lands (callback).
-                self._fast_awaiting = (grant, selected, context, 0)
-                return True
-        self._finalize_grant(grant, selected, context, 0)
-        return True
-
-    def _fast_grant_on_complete(self) -> None:
-        """transition_complete callback: finalise a waiting inline grant."""
-        awaiting = self._fast_awaiting
-        if awaiting is None:
-            return
-        grant, selected, context, deferrals = awaiting
-        psm = self.psm
-        if psm.state is not selected or psm.is_transitioning:
-            return  # another transition is still in flight; keep waiting
-        self._fast_awaiting = None
-        self._finalize_grant(grant, selected, context, deferrals)
 
     def _finalize_grant(self, grant: TaskGrant, selected, context, deferrals: int) -> None:
         grant.state = selected
@@ -297,22 +198,19 @@ class LocalEnergyManager(Module):
         self._executing = True
         if self.gem is not None:
             self.gem.note_request_served(self.ip_name)
-        if not self._fast:
-            # The decision log is an analysis artefact; fast mode keeps the
-            # counters but skips the per-task record (documented).
-            self.decisions.append(
-                LemDecision(
-                    task_name=grant.task.name,
-                    priority=grant.task.priority,
-                    battery=str(context.battery),
-                    temperature=str(context.temperature),
-                    selected_state=selected,
-                    request_time=grant.request_time,
-                    grant_time=self.kernel.now,
-                    deferrals=deferrals,
-                    bus=str(context.bus),
-                )
+        self.decisions.append(
+            LemDecision(
+                task_name=grant.task.name,
+                priority=grant.task.priority,
+                battery=str(context.battery),
+                temperature=str(context.temperature),
+                selected_state=selected,
+                request_time=grant.request_time,
+                grant_time=self.kernel.now,
+                deferrals=deferrals,
+                bus=str(context.bus),
             )
+        )
         tracer = self._tracer
         if tracer is not None:
             now_fs = self.kernel.now_fs
@@ -330,29 +228,6 @@ class LocalEnergyManager(Module):
             )
         grant.event.notify()
 
-    def _fast_idle_decision(self) -> None:
-        """Delta-event callback replacing the idle process (non-timeout)."""
-        record = self._idle_record
-        if record is None or self._idle_sequence != record.sequence:
-            return
-        use_hint = record.hint is not None and getattr(self.policy, "uses_idle_hint", False)
-        predicted = record.hint if use_hint else self.predictor.predict()
-        target = self.policy.select_idle_state(predicted, self.breakeven)
-        if target is None:
-            return
-        if self._idle_sequence != record.sequence:  # pragma: no cover - defensive
-            return
-        if not self.config.allow_off and target.is_off:
-            target = PowerState.SL4
-        psm = self.psm
-        if psm.state is not target and not psm.is_transitioning:
-            psm.request_state(target)
-            self.sleep_decisions += 1
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(self.kernel.now_fs, "lem.sleep", self.ip_name,
-                            state=str(target), reason="idle")
-
     def notify_task_complete(self, task: Task, next_idle_hint: Optional[SimTime] = None) -> None:
         """Called by the IP right after ``task`` finished executing."""
         now = self.kernel.now
@@ -365,18 +240,6 @@ class LocalEnergyManager(Module):
         idle_event = self._idle_event
         if idle_event._waiters or idle_event._callbacks:
             idle_event.notify()
-        if self._fast and not self.policy.uses_timeout:
-            if next_idle_hint is not None and int(next_idle_hint) > 0:
-                # A positive idle hint guarantees the IP yields before its
-                # next submission, so the decision can run inline: nothing
-                # can bump the idle sequence within this instant.
-                self._fast_idle_decision()
-            else:
-                # Decide in the next delta cycle (after the IP's activation
-                # has run on — it may submit the next task back-to-back,
-                # which the sequence check must see first, exactly as the
-                # process variant would).
-                self._fast_idle_event.notify_delta()
 
     # ------------------------------------------------------------------
     # GEM-facing interface
@@ -414,17 +277,9 @@ class LocalEnergyManager(Module):
     # Estimation helpers
     # ------------------------------------------------------------------
     def _estimate_task_energy(self, task: Task) -> float:
-        cached = self._fast_estimate
-        if cached is not None and cached[0] is task:
-            return cached[1]
-        value = self.characterization.task_energy_j(
+        return self.characterization.task_energy_j(
             self.config.estimation_state, task.cycles, task.instruction_class
         )
-        if self._fast:
-            # The GEM registration and the serve step estimate the same task
-            # back to back; reusing the identical float is bit-safe.
-            self._fast_estimate = (task, value)
-        return value
 
     def _estimate_context(self, task: Task) -> RuleContext:
         """Project battery and temperature to the end of the task (section 1.3)."""

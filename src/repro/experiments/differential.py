@@ -1,17 +1,12 @@
 """Differential oracles: one platform, every execution path, agreement checks.
 
-The reproduction exposes three independent execution axes — accuracy mode
-(``exact`` vs ``fast``), bus timing (event-driven vs cycle-accurate) and DPM
-policy (paper vs always-on vs greedy) — that must agree up to documented
-tolerances.  :func:`run_differential` runs a single
-:class:`~repro.platform.spec.PlatformSpec` through all of them and returns
-one :class:`OracleVerdict` per oracle:
+The reproduction exposes two independent execution axes — bus timing
+(event-driven vs cycle-accurate) and DPM policy (paper vs always-on vs
+greedy) — that must agree up to documented bounds, plus invariants a single
+run and the static analysis must satisfy.  :func:`run_differential` runs a
+single :class:`~repro.platform.spec.PlatformSpec` through all of them and
+returns one :class:`OracleVerdict` per oracle:
 
-``exact_vs_fast``
-    Fast-mode energies within relative ``1e-9``, temperatures and battery
-    state-of-charge within ``1e-6``; event times, task counts and PSM
-    transition counts exactly equal (the documented fast-mode contract, see
-    ``tests/experiments/test_accuracy_modes.py``).
 ``bus_timing``
     Event-driven vs cycle-accurate bus under an always-on setup (isolating
     arbitration from DPM decision cascades): identical task counts and
@@ -60,24 +55,17 @@ from repro.power.states import PowerState
 __all__ = [
     "ALL_ORACLES",
     "DifferentialResult",
-    "ENERGY_RTOL",
     "OracleVerdict",
     "POLICY_SAVING_SLACK",
-    "TEMPERATURE_RTOL",
     "run_differential",
 ]
 
-#: Documented fast-mode tolerance on energy figures (relative).
-ENERGY_RTOL = 1e-9
-#: Documented fast-mode tolerance on temperatures and state-of-charge (relative).
-TEMPERATURE_RTOL = 1e-6
 #: Float-noise slack (relative to the baseline energy) on the policy
 #: oracle's deficit bound: the paper policy may exceed the always-on
 #: baseline's energy by at most its own transition overhead plus this.
 POLICY_SAVING_SLACK = 1e-9
 
 ALL_ORACLES = (
-    "exact_vs_fast",
     "bus_timing",
     "policy",
     "structural",
@@ -152,89 +140,8 @@ class DifferentialResult:
 # ----------------------------------------------------------------------
 # Comparison helpers
 # ----------------------------------------------------------------------
-def _rel(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
-
-
 def _execution_key(execution) -> tuple:
     return (execution.ip_name, execution.task.name)
-
-
-def _check_run_agreement(
-    reference: RunArtifacts,
-    candidate: RunArtifacts,
-    energy_rtol: float,
-    temperature_rtol: float,
-    exact_times: bool = True,
-) -> List[str]:
-    """Compare two runs of the *same* scenario; return mismatch descriptions."""
-    problems: List[str] = []
-    if reference.all_tasks_completed != candidate.all_tasks_completed:
-        problems.append(
-            f"completion flag differs: {reference.all_tasks_completed} "
-            f"vs {candidate.all_tasks_completed}"
-        )
-    delta = _rel(reference.total_energy_j, candidate.total_energy_j)
-    if delta > energy_rtol:
-        problems.append(
-            f"total energy {reference.total_energy_j!r} vs "
-            f"{candidate.total_energy_j!r} (rel {delta:.3e} > {energy_rtol:.0e})"
-        )
-    for label, a, b in (
-        ("average rise", reference.average_rise_c, candidate.average_rise_c),
-        ("peak temperature", reference.peak_temperature_c, candidate.peak_temperature_c),
-        (
-            "battery SoC",
-            reference.soc.battery.state_of_charge,
-            candidate.soc.battery.state_of_charge,
-        ),
-    ):
-        delta = _rel(a, b)
-        if delta > temperature_rtol:
-            problems.append(f"{label} {a!r} vs {b!r} (rel {delta:.3e} > {temperature_rtol:.0e})")
-    if len(reference.executions) != len(candidate.executions):
-        problems.append(
-            f"task count {len(reference.executions)} vs {len(candidate.executions)}"
-        )
-        return problems  # per-task comparison is meaningless past this point
-    for ref_run, cand_run in zip(reference.executions, candidate.executions):
-        if _execution_key(ref_run) != _execution_key(cand_run):
-            problems.append(
-                f"execution order differs: {_execution_key(ref_run)} vs "
-                f"{_execution_key(cand_run)}"
-            )
-            break
-        if exact_times:
-            for label, a, b in (
-                ("request", ref_run.request_time, cand_run.request_time),
-                ("grant", ref_run.grant_time, cand_run.grant_time),
-                ("completion", ref_run.completion_time, cand_run.completion_time),
-            ):
-                if a != b:
-                    problems.append(
-                        f"{ref_run.ip_name}/{ref_run.task.name} {label} time "
-                        f"{a!r} vs {b!r}"
-                    )
-        delta = _rel(ref_run.energy_j, cand_run.energy_j)
-        if delta > energy_rtol:
-            problems.append(
-                f"{ref_run.ip_name}/{ref_run.task.name} energy {ref_run.energy_j!r} "
-                f"vs {cand_run.energy_j!r} (rel {delta:.3e})"
-            )
-    ref_ips = {
-        instance.spec.name: instance.psm.transition_counts
-        for instance in reference.soc.instances
-    }
-    cand_ips = {
-        instance.spec.name: instance.psm.transition_counts
-        for instance in candidate.soc.instances
-    }
-    if ref_ips != cand_ips:
-        problems.append(f"transition counts differ: {ref_ips} vs {cand_ips}")
-    return problems
 
 
 def _spec_with_bus_timing(spec: PlatformSpec, timing: str) -> PlatformSpec:
@@ -248,16 +155,6 @@ def _spec_with_bus_timing(spec: PlatformSpec, timing: str) -> PlatformSpec:
 # ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
-def _oracle_exact_vs_fast(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
-    # setup=None honours the spec's own policy (defaulting to the paper DPM),
-    # so generated PolicyDefs are exercised by the accuracy contract too.
-    fast = run_scenario(spec, None, accuracy="fast", trace=False)
-    problems = _check_run_agreement(base, fast, ENERGY_RTOL, TEMPERATURE_RTOL)
-    if problems:
-        return OracleVerdict("exact_vs_fast", "fail", "; ".join(problems))
-    return OracleVerdict("exact_vs_fast", "pass")
-
-
 def _oracle_bus_timing(spec: PlatformSpec) -> OracleVerdict:
     if spec.bus is None or not spec.bus.enabled:
         return OracleVerdict("bus_timing", "skip", "platform has no bus")
@@ -270,7 +167,6 @@ def _oracle_bus_timing(spec: PlatformSpec) -> OracleVerdict:
         runs[timing] = run_scenario(
             _spec_with_bus_timing(spec, timing),
             DpmSetup.always_on(),
-            accuracy="exact",
             trace=False,
         )
     ed, ca = runs["event_driven"], runs["cycle_accurate"]
@@ -332,7 +228,7 @@ def _oracle_policy(spec: PlatformSpec) -> OracleVerdict:
         ("always-on", DpmSetup.always_on()),
         ("greedy-sleep", DpmSetup.greedy_sleep()),
     ):
-        runs[name] = run_scenario(spec, setup, accuracy="exact", trace=False)
+        runs[name] = run_scenario(spec, setup, trace=False)
     baseline = runs["always-on"]
     if not baseline.all_tasks_completed:
         return OracleVerdict(
@@ -388,7 +284,9 @@ def _oracle_policy(spec: PlatformSpec) -> OracleVerdict:
     return OracleVerdict("policy", "pass")
 
 
-def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
+def _oracle_structural(spec: PlatformSpec) -> OracleVerdict:
+    # setup=None honours the spec's own policy (defaulting to the paper DPM).
+    base = run_scenario(spec, None, trace=False)
     problems: List[str] = []
     soc = base.soc
     # Battery: state-of-charge must never rise while discharging.
@@ -533,36 +431,18 @@ def run_differential(
             f"unknown oracle(s) {unknown!r}; expected names from {ALL_ORACLES!r}"
         )
     result = DifferentialResult(spec_name=spec.name, spec_hash=spec_hash(spec))
-
-    base: Optional[RunArtifacts] = None
-    needs_base = {"exact_vs_fast", "structural"} & set(selected)
-    if needs_base:
-        try:
-            base = run_scenario(spec, None, accuracy="exact", trace=False)
-        except ReproError as error:
-            for name in ALL_ORACLES:
-                if name in needs_base:
-                    result.verdicts.append(
-                        OracleVerdict(name, "fail", f"base run crashed: {error}")
-                    )
-            needs_base = set()
-
     for name in ALL_ORACLES:
         if name not in selected:
             continue
-        if name in {"exact_vs_fast", "structural"} and base is None:
-            continue  # already reported as a base-run failure above
         try:
-            if name == "exact_vs_fast":
-                verdict = _oracle_exact_vs_fast(spec, base)
-            elif name == "bus_timing":
+            if name == "bus_timing":
                 verdict = _oracle_bus_timing(spec)
             elif name == "policy":
                 verdict = _oracle_policy(spec)
             elif name == "lint_reach":
                 verdict = _oracle_lint_reach(spec)
             else:
-                verdict = _oracle_structural(spec, base)
+                verdict = _oracle_structural(spec)
         except ReproError as error:
             verdict = OracleVerdict(name, "fail", f"oracle crashed: {error}")
         result.verdicts.append(verdict)

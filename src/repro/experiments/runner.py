@@ -26,7 +26,6 @@ from repro.dpm.controller import DpmSetup
 from repro.errors import ExperimentError
 from repro.experiments.scenarios import Scenario
 from repro.power.states import PowerState
-from repro.sim.accuracy import AccuracyMode
 from repro.sim.simtime import SimTime
 from repro.soc.soc import SoC, build_soc
 from repro.soc.task import TaskExecution
@@ -45,24 +44,27 @@ class BaselineFigures:
     """The figures of a baseline run that Table-2 metrics actually consume.
 
     Unlike :class:`RunArtifacts` this is plain picklable data, so a campaign
-    can compute the baseline of a (scenario, accuracy-mode) cell once and
-    share it across every job of the grid.
+    can compute the baseline of a scenario cell once and share it across
+    every job of the grid.
     """
 
     scenario: str
     setup: str
-    accuracy: str
     total_energy_j: float
     average_rise_c: float
     peak_temperature_c: float
     all_tasks_completed: bool
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view for JSON storage."""
+        """Plain-dict view for JSON storage.
+
+        The constant ``accuracy`` entry keeps stored baseline records
+        byte-identical to those written while a second mode existed.
+        """
         return {
             "scenario": self.scenario,
             "setup": self.setup,
-            "accuracy": self.accuracy,
+            "accuracy": "exact",
             "total_energy_j": self.total_energy_j,
             "average_rise_c": self.average_rise_c,
             "peak_temperature_c": self.peak_temperature_c,
@@ -75,7 +77,6 @@ class BaselineFigures:
         return BaselineFigures(
             scenario=str(value["scenario"]),
             setup=str(value["setup"]),
-            accuracy=str(value.get("accuracy", "exact")),
             total_energy_j=float(value["total_energy_j"]),
             average_rise_c=float(value["average_rise_c"]),
             peak_temperature_c=float(value["peak_temperature_c"]),
@@ -93,7 +94,6 @@ class RunArtifacts:
     end_time: SimTime
     wall_clock_s: float
     executions: List[TaskExecution] = field(default_factory=list)
-    accuracy: AccuracyMode = AccuracyMode.EXACT
     #: Where the run's event/waveform trace was written (None when untraced).
     trace_path: Optional[Path] = None
 
@@ -209,7 +209,6 @@ def _resolve_trace_request(scenario: Scenario, trace):
 def run_scenario(
     scenario: "Scenario | str",
     setup: Optional[DpmSetup] = None,
-    accuracy: "AccuracyMode | str | None" = None,
     trace=None,
 ) -> RunArtifacts:
     """Build and simulate ``scenario`` once under ``setup`` (default: paper DPM).
@@ -223,11 +222,10 @@ def run_scenario(
 
     scenario = _as_scenario(scenario)
     setup = platform_setup(scenario, setup, DpmSetup.paper, use_policy=True)
-    mode = AccuracyMode.from_name(accuracy)
     request = _resolve_trace_request(scenario, trace)
     specs = scenario.build_specs()
     config = scenario.build_config()
-    soc = build_soc(specs, config, setup, accuracy=mode)
+    soc = build_soc(specs, config, setup)
     session = None
     if request is not None:
         from repro.obs.session import TraceSession
@@ -254,7 +252,6 @@ def run_scenario(
         end_time=end_time,
         wall_clock_s=wall_elapsed,
         executions=executions,
-        accuracy=mode,
         trace_path=trace_path,
     )
 
@@ -262,21 +259,18 @@ def run_scenario(
 def run_baseline(
     scenario: "Scenario | str",
     baseline: Optional[DpmSetup] = None,
-    accuracy: "AccuracyMode | str | None" = None,
 ) -> BaselineFigures:
     """Run the reference configuration once and reduce it to plain figures."""
     from repro.platform.build import platform_setup
 
     scenario = _as_scenario(scenario)
     baseline = platform_setup(scenario, baseline, DpmSetup.always_on)
-    mode = AccuracyMode.from_name(accuracy)
     # The baseline never traces: a spec-enabled trace would clobber the DPM
     # run's output file and the reference run is not the run under study.
-    run = run_scenario(scenario, baseline, accuracy=mode, trace=False)
+    run = run_scenario(scenario, baseline, trace=False)
     return BaselineFigures(
         scenario=scenario.name,
         setup=baseline.name,
-        accuracy=mode.value,
         total_energy_j=run.total_energy_j,
         average_rise_c=run.average_rise_c,
         peak_temperature_c=run.peak_temperature_c,
@@ -288,11 +282,15 @@ def run_comparison(
     scenario: "Scenario | str",
     dpm: Optional[DpmSetup] = None,
     baseline: Optional[DpmSetup] = None,
-    accuracy: "AccuracyMode | str | None" = None,
+    accuracy: Optional[str] = None,
     baseline_figures: Optional[BaselineFigures] = None,
     trace=None,
 ) -> ScenarioMetrics:
     """Run ``scenario`` with the DPM and with the baseline; return Table-2 metrics.
+
+    ``accuracy`` accepts only ``None`` or ``"exact"``, the single mode
+    every run uses; it remains because ``perfbench/workloads.py`` passes
+    it, and anything else raises :class:`ValueError`.
 
     ``baseline_figures`` (e.g. from a campaign's shared-baseline cache)
     skips the baseline run entirely; runs are deterministic, so the shared
@@ -303,13 +301,14 @@ def run_comparison(
     """
     from repro.platform.build import platform_setup
 
+    if accuracy not in (None, "exact"):
+        raise ValueError(f"unknown accuracy mode {accuracy!r} (only 'exact' exists)")
     scenario = _as_scenario(scenario)
     dpm = platform_setup(scenario, dpm, DpmSetup.paper, use_policy=True)
     baseline = platform_setup(scenario, baseline, DpmSetup.always_on)
-    mode = AccuracyMode.from_name(accuracy)
-    dpm_run = run_scenario(scenario, dpm, accuracy=mode, trace=trace)
+    dpm_run = run_scenario(scenario, dpm, trace=trace)
     if baseline_figures is None:
-        baseline_figures = run_baseline(scenario, baseline, accuracy=mode)
+        baseline_figures = run_baseline(scenario, baseline)
     if not dpm_run.all_tasks_completed:
         raise ExperimentError(
             f"scenario {scenario.name!r}: the DPM run did not finish within the time budget"

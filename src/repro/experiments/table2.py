@@ -31,14 +31,10 @@ def reproduce_table2(
     scenarios: Optional[Sequence[Scenario]] = None,
     dpm: Optional[DpmSetup] = None,
     baseline: Optional[DpmSetup] = None,
-    accuracy: Optional[str] = None,
 ) -> List[ScenarioMetrics]:
     """Run all Table-2 scenarios and return their metrics in paper order."""
     scenarios = list(scenarios) if scenarios is not None else paper_scenarios()
-    return [
-        run_comparison(scenario, dpm=dpm, baseline=baseline, accuracy=accuracy)
-        for scenario in scenarios
-    ]
+    return [run_comparison(scenario, dpm=dpm, baseline=baseline) for scenario in scenarios]
 
 
 def table2_report(
@@ -56,14 +52,13 @@ def table2_report(
 def simulation_speed(
     scenarios: Optional[Sequence[Scenario]] = None,
     dpm: Optional[DpmSetup] = None,
-    accuracy: Optional[str] = None,
 ) -> Dict[str, float]:
     """Simulation throughput (kilo clock cycles per wall-clock second) per scenario."""
     scenarios = list(scenarios) if scenarios is not None else paper_scenarios()
     dpm = dpm or DpmSetup.paper()
     speeds: Dict[str, float] = {}
     for scenario in scenarios:
-        artefacts = run_scenario(scenario, dpm, accuracy=accuracy)
+        artefacts = run_scenario(scenario, dpm)
         speeds[scenario.name] = artefacts.kilocycles_per_second()
     return speeds
 

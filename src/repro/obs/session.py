@@ -8,16 +8,15 @@ This is the glue between the tracing primitives (:mod:`repro.obs.tracer`,
 * :func:`instrument` — attaches a :class:`~repro.obs.tracer.Tracer` to a
   built :class:`~repro.soc.soc.SoC` by setting the ``_tracer`` hook
   attribute on every instrumented component (never by observing
-  signals, which would perturb the waiter-gated fast paths);
+  signals), so an untraced run pays one attribute test per hook site;
 * :class:`TraceSession` — the run-scoped lifecycle: attach before the
   simulation starts, ``finish`` afterwards to write the sink file.
 
 The ``vcd`` format is signal-level rather than event-level: it watches
 the PSM state signals (plus the bus busy signal) with the simulator's
 :class:`~repro.sim.trace.TraceRecorder` and dumps a VCD at the end.
-Watching attaches real signal observers, so unlike ``jsonl``/``perfetto``
-a VCD-traced run is *not* guaranteed bit-identical to an untraced one in
-fast accuracy mode (exact mode is unaffected).
+Watching attaches real signal observers; they only record the values
+they see, so a VCD-traced run stays bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -104,12 +103,6 @@ def instrument(soc: "SoC", tracer: Tracer) -> None:
         soc.gem._tracer = tracer
     if soc.bus is not None:
         soc.bus._tracer = tracer
-    if soc.fast_engine is not None:
-        engine = soc.fast_engine
-        engine._tracer = tracer
-        engine._trace_source = soc.name
-        engine._traced_battery_level = soc.battery.level
-        engine._traced_thermal_level = soc.thermal.level
 
 
 class TraceSession:

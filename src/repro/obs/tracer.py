@@ -10,10 +10,9 @@ hook sites read it into a local and emit only when it is not ``None``::
 With tracing disabled that is a single attribute load and an identity
 test — cheap enough that the pinned goldens stay bit-identical and the
 simulation-speed benchmarks move by well under the 2% budget.  Crucially
-the hooks never attach signal observers: ``Signal.write_if_watched``,
-``Bus._update_level`` and the fast sampling engine all change behaviour
-when a signal grows observers, so observer-based tracing could never be
-a no-op.
+the hooks never attach signal observers: ``Bus._update_level`` changes
+behaviour when its level signal grows observers, so observer-based
+tracing could never be a no-op.
 
 Events are buffered in memory as lightweight :class:`TraceEvent` records
 and serialized by a sink (:mod:`repro.obs.sinks`) after the run ends.

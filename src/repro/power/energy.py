@@ -35,15 +35,7 @@ class EnergyCategory:
 
 
 class EnergyAccount:
-    """Per-consumer energy ledger with category breakdown.
-
-    In the fast accuracy mode a *deposit recorder* (the SoC's
-    :class:`~repro.soc.sampling.FastSampleEngine`) is attached to every
-    account: each deposit is mirrored into the SoC power timeline, together
-    with the interval it was integrated over, so the lazily replayed
-    battery/thermal samplers can reconstruct the per-window energy flux.
-    In exact mode the recorder is ``None`` and the deposit path is unchanged.
-    """
+    """Per-consumer energy ledger with category breakdown."""
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
@@ -51,36 +43,21 @@ class EnergyAccount:
         self._deposits = 0
         self._total_cache = 0.0
         self._total_dirty = False
-        self._recorder = None
 
     # -- recording -------------------------------------------------------
-    def add_energy(
-        self,
-        energy_j: float,
-        category: str = EnergyCategory.ACTIVE,
-        _span_fs: int = 0,
-        _end_fs: int = 0,
-    ) -> None:
-        """Record ``energy_j`` joules under ``category``.
-
-        ``_span_fs``/``_end_fs`` are internal: the femtosecond interval the
-        energy was integrated over (0 for a point deposit) and its end time
-        (0 meaning "now"), forwarded to the fast-mode deposit recorder.
-        """
+    def add_energy(self, energy_j: float, category: str = EnergyCategory.ACTIVE) -> None:
+        """Record ``energy_j`` joules under ``category``."""
         if energy_j < 0.0:
             raise PowerModelError(f"cannot add negative energy ({energy_j} J) to {self.owner!r}")
         self._by_category[category] += energy_j
         self._deposits += 1
         self._total_dirty = True
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.record(energy_j, _span_fs, _end_fs)
 
     def add_power(self, power_w: float, duration: SimTime, category: str = EnergyCategory.IDLE) -> None:
         """Record ``power_w`` watts drawn for ``duration``."""
         if power_w < 0.0:
             raise PowerModelError(f"cannot integrate negative power ({power_w} W) for {self.owner!r}")
-        self.add_energy(power_w * duration.seconds, category, _span_fs=int(duration))
+        self.add_energy(power_w * duration.seconds, category)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -127,26 +104,11 @@ class EnergyLedger:
         self._accounts: Dict[str, EnergyAccount] = {}
         self._deposit_snapshot = -1
         self._total_cache = 0.0
-        self._recorder = None
-
-    def attach_recorder(self, recorder) -> None:
-        """Mirror every deposit of every (current and future) account.
-
-        Used by the fast accuracy mode; ``recorder`` must expose
-        ``record(energy_j, span_fs, end_fs)`` where ``span_fs`` is the
-        femtosecond interval the energy was integrated over (0 for a point
-        deposit) and ``end_fs`` its end time (0 meaning "now").
-        """
-        self._recorder = recorder
-        for account in self._accounts.values():
-            account._recorder = recorder
 
     def account(self, owner: str) -> EnergyAccount:
         """Return (creating if needed) the account of ``owner``."""
         if owner not in self._accounts:
-            created = EnergyAccount(owner)
-            created._recorder = self._recorder
-            self._accounts[owner] = created
+            self._accounts[owner] = EnergyAccount(owner)
             self._deposit_snapshot = -1
         return self._accounts[owner]
 
@@ -154,7 +116,6 @@ class EnergyLedger:
         """Register an externally created account."""
         if account.owner in self._accounts and self._accounts[account.owner] is not account:
             raise PowerModelError(f"an account named {account.owner!r} already exists")
-        account._recorder = self._recorder
         self._accounts[account.owner] = account
         self._deposit_snapshot = -1
         return account

@@ -62,8 +62,6 @@ class PowerStateMachine(Module):
         energy_account: EnergyAccount,
         initial_state: PowerState = PowerState.ON1,
         parent: Optional[Module] = None,
-        fast: bool = False,
-        sample_interval: Optional[SimTime] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
         self.characterization = characterization
@@ -91,33 +89,7 @@ class PowerStateMachine(Module):
         self._label_cache: Dict[int, str] = {}
         self._transition_count = 0
         self._transition_counts: Dict[str, int] = defaultdict(int)
-        # Fast accuracy mode serves transitions synchronously: the request
-        # starts the transition inline and a timed event callback finishes
-        # it, so no dedicated process (and none of its two activations per
-        # transition) exists.  Completion times, transition_complete delta
-        # notifications and all bookkeeping match the process exactly.
-        self._fast = fast
-        self._fast_source: Optional[PowerState] = None
-        self._fast_target: Optional[PowerState] = None
-        self._fast_cost = None
-        # Direct completion hooks (fast mode): called synchronously when a
-        # transition completes, replacing a delta-notified event for
-        # callback-style consumers (the LEM's inline grant path).  Process
-        # waiters still get the delta notification.
-        self._completion_hooks: list = []
-        # In exact mode the per-sample flush integrates background power (and
-        # residency) for the *elapsed part of an in-flight transition* at
-        # every sample boundary — behaviour pinned by the golden metrics.
-        # Fast mode has no per-sample flush, so mid-transition integration is
-        # quantised to the same boundaries instead (see
-        # _integrate_background); a full (unquantised) integration is used
-        # by the end-of-run flush, as in exact mode.
-        self._sample_interval_fs: int = int(sample_interval) if sample_interval else 0
-        if fast:
-            self._fast_complete = self.event("fast_complete")
-            self._fast_complete.add_callback(self._finish_fast_transition)
-        else:
-            self.add_thread(self._transition_process, name="transitions")
+        self.add_thread(self._transition_process, name="transitions")
 
     #: structured-tracing hook (repro.obs); None keeps the hook site to a
     #: single attribute test, so untraced runs stay bit-identical
@@ -174,10 +146,6 @@ class PowerStateMachine(Module):
                 f"{self.name}: transition {self.state} -> {target} is not allowed"
             )
         self._requested_state = target
-        if self._fast:
-            if not self._in_transition:
-                self._serve_fast()
-            return
         self._request_event.notify()
 
     def wait_for_state(self, target: PowerState):
@@ -208,26 +176,18 @@ class PowerStateMachine(Module):
     # ------------------------------------------------------------------
     # Energy integration
     # ------------------------------------------------------------------
-    def flush_energy(self, full: bool = False) -> None:
+    def flush_energy(self) -> None:
         """Integrate background power up to the current simulated time.
 
         Experiment runners call this once at the end of a simulation so that
         the last interval (between the final event and the end time) is
-        charged to the account.  ``full`` forces unquantised integration of
-        an in-flight transition (fast-mode end-of-run flush only).
+        charged to the account.
         """
-        self._integrate_background(full)
+        self._integrate_background()
 
-    def _integrate_background(self, full: bool = True) -> None:
+    def _integrate_background(self) -> None:
         now_fs = self.kernel._now_fs
-        end_fs = now_fs
-        if self._in_transition and self._fast and not full:
-            # Quantise mid-transition integration to the sample boundaries
-            # where the exact per-sample flush would have performed it.
-            interval = self._sample_interval_fs
-            if interval:
-                end_fs = now_fs - now_fs % interval
-        elapsed_fs = end_fs - self._last_account_fs
+        elapsed_fs = now_fs - self._last_account_fs
         if elapsed_fs <= 0:
             return
         state = self._state
@@ -243,72 +203,12 @@ class PowerStateMachine(Module):
                 # elapsed_fs / 10^15 matches SimTime.seconds bit for bit
                 # without allocating the SimTime.
                 self.energy_account.add_energy(
-                    power * (elapsed_fs / 1_000_000_000_000_000),
-                    category,
-                    _span_fs=elapsed_fs,
-                    _end_fs=end_fs if end_fs != now_fs else 0,
+                    power * (elapsed_fs / 1_000_000_000_000_000), category
                 )
-        self._last_account_fs = end_fs
-
-    # ------------------------------------------------------------------
-    # Fast-mode synchronous transitions
-    # ------------------------------------------------------------------
-    def _serve_fast(self) -> None:
-        """Start serving the pending request inline (fast accuracy mode)."""
-        while True:
-            target = self._requested_state
-            if target is None:
-                return
-            self._requested_state = None
-            source = self._state
-            if target is source:
-                self.transition_complete.notify()
-                continue
-            cost_key = source._idx * 16 + target._idx
-            cost = self._cost_cache.get(cost_key)
-            if cost is None:
-                cost = self.transitions.cost(source, target)
-                self._cost_cache[cost_key] = cost
-            self._integrate_background()
-            self._in_transition = True
-            self.in_transition.write_if_watched(True)
-            if not cost.latency.is_zero:
-                self._fast_source = source
-                self._fast_target = target
-                self._fast_cost = cost
-                self._fast_complete.notify_after(cost.latency)
-                return
-            self._complete_transition(source, target, cost)
-
-    def _finish_fast_transition(self) -> None:
-        """Timed-event callback: the in-flight transition's latency elapsed."""
-        if not self._in_transition:  # pragma: no cover - defensive
-            return
-        source = self._fast_source
-        target = self._fast_target
-        cost = self._fast_cost
-        self._fast_source = None
-        self._fast_target = None
-        self._fast_cost = None
-        self._complete_transition(source, target, cost)
-        # A newer request that arrived mid-flight is served next — matching
-        # the process's behaviour of completing first, then re-looping.
-        if self._requested_state is not None:
-            self._serve_fast()
+        self._last_account_fs = now_fs
 
     def _complete_transition(self, source: PowerState, target: PowerState, cost) -> None:
-        """Transition-completion bookkeeping, shared by both modes.
-
-        In fast mode the quantised integration first bills any
-        sample-boundary slices of the transition interval that the exact
-        per-sample flush would have billed while the transition was in
-        flight; status mirrors are waiter-gated and direct completion hooks
-        fire.  In exact mode the legacy unconditional writes and delta
-        notification are preserved bit for bit.
-        """
-        fast = self._fast
-        if fast:
-            self._integrate_background(full=False)
+        """Transition-completion bookkeeping."""
         self._last_account_fs = self.kernel.now_fs
         self._residency_fs[source._idx] += cost.latency
         self._residency_touched.add(source._idx)
@@ -331,18 +231,9 @@ class PowerStateMachine(Module):
                 latency_us=int(cost.latency) / 1e9,
                 energy_j=cost.energy_j,
             )
-        if fast:
-            self.state_signal.write_if_watched(target)
-            self.in_transition.write_if_watched(False)
-            for hook in self._completion_hooks:
-                hook()
-            complete = self.transition_complete
-            if complete._waiters or complete._callbacks:
-                complete.notify_delta()
-        else:
-            self.state_signal.write(target)
-            self.in_transition.write(False)
-            self.transition_complete.notify_delta()
+        self.state_signal.write(target)
+        self.in_transition.write(False)
+        self.transition_complete.notify_delta()
 
     # ------------------------------------------------------------------
     # Internal transition process

@@ -6,7 +6,6 @@ processes, events, a clock generator, tracing and a high-level
 :class:`~repro.sim.simulator.Simulator` facade.
 """
 
-from repro.sim.accuracy import AccuracyMode
 from repro.sim.clock import Clock
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel, KernelStatistics
@@ -29,7 +28,6 @@ from repro.sim.simulator import SimulationReport, Simulator
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "AccuracyMode",
     "AllOf",
     "AnyOf",
     "Clock",

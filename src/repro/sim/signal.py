@@ -81,28 +81,6 @@ class Signal(Generic[T]):
         if value != self._current:
             self._kernel.request_update(self)
 
-    def write_if_watched(self, value: T) -> None:
-        """Write only when someone can observe the change.
-
-        Fast-accuracy-mode helper for pure status mirrors: when no process
-        waits on any of the signal's events and no observer/trace is
-        attached, the write (and its update-phase visit) is skipped
-        entirely.  Readers polling :meth:`read` without waiting would see a
-        stale value, so this must only be used for signals whose consumers
-        are event-driven.
-        """
-        changed = self.changed_event
-        if changed._waiters or changed._callbacks or self._observers:
-            self.write(value)
-            return
-        posedge = self._posedge_event
-        if posedge is not None and (posedge._waiters or posedge._callbacks):
-            self.write(value)
-            return
-        negedge = self._negedge_event
-        if negedge is not None and (negedge._waiters or negedge._callbacks):
-            self.write(value)
-
     # -- events -------------------------------------------------------------
     @property
     def posedge_event(self) -> Event:
@@ -126,9 +104,9 @@ class Signal(Generic[T]):
         """Detach a previously registered observer.
 
         Returns True when the callback was attached (and is now removed);
-        False for an unknown callback.  Detaching matters beyond memory: the
-        fast accuracy mode gates several writes on "does anyone observe this
-        signal", so a stale observer changes which writes happen at all.
+        False for an unknown callback.  Detaching matters beyond memory: a
+        stale observer keeps running (and keeps its owner alive) on every
+        later change of the signal.
         """
         try:
             self._observers.remove(callback)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ElaborationError
-from repro.sim.accuracy import AccuracyMode
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
 from repro.sim.simtime import SimTime, ZERO_TIME
@@ -59,14 +58,8 @@ class SimulationReport:
 class Simulator:
     """Owns the kernel, the module hierarchy and the trace recorder."""
 
-    def __init__(
-        self,
-        name: str = "sim",
-        trace: bool = False,
-        accuracy: "AccuracyMode | str" = AccuracyMode.EXACT,
-    ) -> None:
+    def __init__(self, name: str = "sim", trace: bool = False) -> None:
         self.name = name
-        self.accuracy = AccuracyMode.from_name(accuracy)
         self.kernel = Kernel()
         self._top_modules: List[Module] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None

@@ -72,8 +72,7 @@ class TraceRecorder:
         """Detach every live observer (histories stay queryable).
 
         Idempotent; call when the recorder's capture phase is over so the
-        recorder no longer pins itself to the watched signals (and, in fast
-        accuracy mode, no longer forces observer-gated writes to happen).
+        recorder no longer pins itself to the watched signals.
         """
         for name in list(self._observers):
             self.unwatch(name)

@@ -632,10 +632,10 @@ class Bus(Module):
     def _update_level(self) -> None:
         """Refresh the quantised occupancy signal (grant/release/cancel).
 
-        Like the IP busy mirror, the signal — and the occupancy computation
-        behind it — is skipped entirely while nobody observes it: the GEM
-        and LEM poll :meth:`occupancy_level` on demand, so on a typical run
-        this keeps level bookkeeping off the per-transaction hot path.
+        The signal — and the occupancy computation behind it — is skipped
+        entirely while nobody observes it: the GEM and LEM poll
+        :meth:`occupancy_level` on demand, so on a typical run this keeps
+        level bookkeeping off the per-transaction hot path.
         """
         level = self.level_signal
         changed = level.changed_event

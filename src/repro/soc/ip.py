@@ -104,9 +104,6 @@ class FunctionalIP(Module):
         self.done_event = self.event("done")
         self.busy_signal = self.signal("busy", False)
         self._tasks_executed = 0
-        # Fast accuracy mode (inherited from the PSM): the busy mirror is
-        # only written while watched; exact mode keeps unconditional writes.
-        self._fast = psm._fast
         self.add_thread(self._run, name="traffic")
 
     #: structured-tracing hook (repro.obs); None keeps every hook site to a
@@ -209,18 +206,10 @@ class FunctionalIP(Module):
                 energy_j=energy,
             )
         self.psm.set_busy(True)
-        if self._fast:
-            # Pure status mirror: in fast mode it is only written while
-            # someone watches, skipping two update-phase visits per task.
-            self.busy_signal.write_if_watched(True)
-        else:
-            self.busy_signal.write(True)
+        self.busy_signal.write(True)
         yield duration
         self.psm.set_busy(False)
-        if self._fast:
-            self.busy_signal.write_if_watched(False)
-        else:
-            self.busy_signal.write(False)
+        self.busy_signal.write(False)
         self.energy_account.add_energy(energy, EnergyCategory.ACTIVE)
         record.completion_time = self.kernel.now
         record.power_state = state

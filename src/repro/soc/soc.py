@@ -144,27 +144,7 @@ class SoC(Module):
             autonomous=False,
             parent=self,
         )
-        self.fast_engine = None
-        if simulator.accuracy.is_fast:
-            # Fast accuracy mode: no periodic sampler process at all — the
-            # engine replays windows lazily (closed-form batches) and a
-            # crossing guard materialises only the boundaries where a level
-            # signal change could be observed.
-            from repro.soc.sampling import FastSampleEngine
-
-            self.fast_engine = FastSampleEngine(
-                kernel=simulator.kernel,
-                battery=self.battery,
-                thermal=self.thermal,
-                ledger=self.ledger,
-                monitor=self.battery_monitor,
-                sensor=self.temperature_sensor,
-                interval=config.sample_interval,
-                books_flusher=self.flush_power_books,
-                name=f"{config.name}.fast_sampler",
-            )
-        else:
-            self.add_thread(self._shared_sample_loop, name="sampler")
+        self.add_thread(self._shared_sample_loop, name="sampler")
         self.fan: Optional[Fan] = None
         if config.with_fan:
             self.fan = Fan(
@@ -239,16 +219,10 @@ class SoC(Module):
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
         self.simulator.elaborate()
-        # Fast mode drives the kernel directly: the per-chunk wall-clock
-        # bookkeeping and statistics snapshots of Simulator.run are pure
-        # overhead here, and the chunked end-time semantics are identical.
-        run_chunk = (
-            self.simulator.run if self.fast_engine is None else self.simulator.kernel.run
-        )
         while not self.all_done and self.simulator.now < max_time:
             remaining = max_time - self.simulator.now
             chunk = check_interval if check_interval < remaining else remaining
-            run_chunk(chunk)
+            self.simulator.run(chunk)
         self.flush()
         return self.simulator.now
 
@@ -283,22 +257,15 @@ class SoC(Module):
             tracer.emit(now_fs, "thermal.level", self.name,
                         level=str(thermal_level), temperature_c=temperature)
 
-    def flush_power_books(self, full: bool = False) -> None:
-        """Post the lazily integrated background/fan energy up to now.
-
-        ``full`` forces unquantised integration of in-flight PSM transitions
-        (fast-mode end-of-run flush; a no-op in exact mode).
-        """
+    def flush_power_books(self) -> None:
+        """Post the lazily integrated background/fan energy up to now."""
         for instance in self.instances:
-            instance.psm.flush_energy(full)
+            instance.psm.flush_energy()
         if self.fan is not None:
             self.fan.flush_energy()
 
     def flush(self) -> None:
         """Close the energy books of every PSM and the fan, and resample sensors."""
-        if self.fast_engine is not None:
-            self.fast_engine.final_flush()
-            return
         self.flush_power_books()
         self.battery_monitor.sample_now()
         self.temperature_sensor.sample_now()
@@ -311,7 +278,6 @@ def build_soc(
     soc_config: Optional[SocConfig] = None,
     dpm: Optional[DpmSetup] = None,
     simulator: Optional[Simulator] = None,
-    accuracy: Optional[object] = None,
 ) -> SoC:
     """Build the complete SoC of Fig. 1.
 
@@ -326,10 +292,6 @@ def build_soc(
         (:meth:`DpmSetup.paper`).
     simulator:
         Optional pre-existing simulator to build into.
-    accuracy:
-        Accuracy mode of the run (:class:`~repro.sim.accuracy.AccuracyMode`
-        or its name).  Defaults to ``exact``; when a ``simulator`` is passed
-        its mode wins and a conflicting ``accuracy`` raises.
     """
     # Imported here (not at module level) to keep repro.soc importable on its
     # own: repro.dpm depends on repro.soc.task, so a module-level import in
@@ -337,7 +299,6 @@ def build_soc(
     from repro.dpm.controller import DpmSetup
     from repro.dpm.gem import GlobalEnergyManager
     from repro.dpm.lem import LocalEnergyManager
-    from repro.sim.accuracy import AccuracyMode
 
     if not ip_specs:
         raise ConfigurationError("at least one IP is required")
@@ -347,15 +308,7 @@ def build_soc(
     soc_config = soc_config or SocConfig()
     dpm = dpm or DpmSetup.paper()
     if simulator is None:
-        simulator = Simulator(
-            name=soc_config.name,
-            accuracy=AccuracyMode.from_name(accuracy),
-        )
-    elif accuracy is not None and AccuracyMode.from_name(accuracy) is not simulator.accuracy:
-        raise ConfigurationError(
-            f"accuracy {accuracy!r} conflicts with the simulator's mode "
-            f"{simulator.accuracy.value!r}"
-        )
+        simulator = Simulator(name=soc_config.name)
     soc = SoC(simulator, soc_config)
     simulator.add_module(soc)
 
@@ -369,7 +322,6 @@ def build_soc(
             bus=soc.bus,
             config=dpm.gem_config,
             parent=soc,
-            fast=simulator.accuracy.is_fast,
         )
 
     for spec in ip_specs:
@@ -386,8 +338,6 @@ def build_soc(
             energy_account=account,
             initial_state=spec.initial_state,
             parent=soc,
-            fast=simulator.accuracy.is_fast,
-            sample_interval=soc_config.sample_interval,
         )
         breakeven = BreakEvenAnalyzer(characterization, transitions)
         lem = LocalEnergyManager(
@@ -406,7 +356,6 @@ def build_soc(
             static_priority=spec.static_priority,
             config=dpm.lem_config,
             parent=soc,
-            fast=simulator.accuracy.is_fast,
         )
         ip = FunctionalIP(
             simulator.kernel,
@@ -428,18 +377,5 @@ def build_soc(
         )
         if soc_config.trace_states:
             simulator.watch(psm.state_signal)
-
-    if soc.fast_engine is not None:
-        # The crossing guard's conservative horizons need an upper bound on
-        # the SoC's non-task power: every IP idling in its hungriest state
-        # plus the fan.  Started after the GEM so the guard's first plan
-        # already sees the registered level-signal waiters.
-        background_w = sum(
-            instance.characterization.idle_power_w(PowerState.ON1)
-            for instance in soc.instances
-        )
-        if soc.fan is not None:
-            background_w += soc.fan.power_w
-        soc.fast_engine.start(max_background_w=background_w)
 
     return soc

@@ -69,25 +69,16 @@ class ThermalModel:
         # evaluation); cache the classification per temperature value.
         self._level_cache_temperature_c: float = float("nan")
         self._level_cache = None
-        # Fast accuracy mode installs a callback replaying pending sampler
-        # windows before the state is observed, and a listener notified on
-        # fan toggles (the replay needs the historical fan state per window).
-        self._sync_hook = None
-        self._fan_listener = None
 
     # -- state ------------------------------------------------------------
     @property
     def temperature_c(self) -> float:
         """Current die temperature in Celsius."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         return self._temperature_c
 
     @property
     def peak_c(self) -> float:
         """Highest temperature reached so far."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         return self._peak_c
 
     @property
@@ -98,8 +89,6 @@ class ThermalModel:
     @property
     def level(self) -> TemperatureLevel:
         """Quantised temperature class."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         if self._temperature_c != self._level_cache_temperature_c:
             self._level_cache_temperature_c = self._temperature_c
             self._level_cache = self.config.thresholds.classify(self._temperature_c)
@@ -108,8 +97,6 @@ class ThermalModel:
     @property
     def average_c(self) -> float:
         """Time-averaged temperature since the start of the simulation."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         if self._integrated_time_s <= 0.0:
             return self._temperature_c
         return self._integral_c_s / self._integrated_time_s
@@ -131,10 +118,7 @@ class ThermalModel:
     # -- control ---------------------------------------------------------------
     def set_fan(self, on: bool) -> None:
         """Switch the supplementary fan on or off."""
-        on = bool(on)
-        if self._fan_listener is not None and on != self._fan_on:
-            self._fan_listener(on)
-        self._fan_on = on
+        self._fan_on = bool(on)
 
     # -- dynamics ----------------------------------------------------------------
     def step(self, power_w: float, dt: SimTime) -> float:
@@ -176,7 +160,10 @@ class ThermalModel:
     def advance_windows(self, power_w: float, dt: SimTime, count: int) -> None:
         """Advance ``count`` equal sampling windows in one closed-form step.
 
-        Fast accuracy mode only.  With constant power the per-window
+        Nothing in the library calls this any more: its only caller was a
+        lazily replaying sampler engine that has since been removed.  It is
+        kept because ``perfbench/tracer.py`` resolves it by name; delete both
+        together.  With constant power the per-window
         exponential steps form a geometric sequence, so the end temperature,
         the peak (the trajectory is monotone) and the trapezoidal average
         integral all have closed forms.  The results are mathematically
@@ -227,8 +214,6 @@ class ThermalModel:
         """
         if power_w < 0.0:
             raise ThermalError("dissipated power must be non-negative")
-        if self._sync_hook is not None:
-            self._sync_hook()
         resistance = self.effective_resistance()
         tau = resistance * self.config.thermal_capacitance_j_per_c
         steady = self.config.ambient_c + power_w * resistance
@@ -238,8 +223,6 @@ class ThermalModel:
 
     def snapshot(self) -> dict:
         """Plain-dict state summary."""
-        if self._sync_hook is not None:
-            self._sync_hook()
         return {
             "temperature_c": self._temperature_c,
             "peak_c": self._peak_c,

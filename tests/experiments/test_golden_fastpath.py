@@ -2,8 +2,7 @@
 
 The kernel/time refactor (virtual clocks, integer-femtosecond hot path) is a
 pure speed change: all six paper scenarios must produce *bit-identical*
-``ScenarioMetrics`` in the default (exact) accuracy mode to the recorded
-goldens (A1 and B date from before the refactor; A2-A4 and C pin the same
+``ScenarioMetrics`` to the recorded goldens (A1 and B date from before the refactor; A2-A4 and C pin the same
 contract for the remaining rows), and adding a materialised (cycle-accurate)
 reference clock to a run must not change any energy/timing figure either.
 """

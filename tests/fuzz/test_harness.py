@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.fuzz import Corpus, replay_corpus, run_fuzz
-from repro.soc.sampling import FastSampleEngine
 
 
 class TestGreenRun:
@@ -25,22 +22,13 @@ class TestGreenRun:
 
 
 class TestFailingRun:
-    @pytest.fixture
-    def broken_fast_recording(self, monkeypatch):
-        original = FastSampleEngine.record
-
-        def buggy(self, energy_j, span_fs, end_fs=0):
-            return original(self, energy_j * 1.001, span_fs, end_fs)
-
-        monkeypatch.setattr(FastSampleEngine, "record", buggy)
-
     def test_injected_bug_is_shrunk_saved_and_replayable(
-        self, broken_fast_recording, tmp_path
+        self, lost_transition_residency, tmp_path
     ):
         corpus = Corpus(tmp_path)
         report = run_fuzz(examples=50, seed=0, corpus=corpus)
         assert not report.ok
-        assert {v.oracle for v in report.failure.result.failures} == {"exact_vs_fast"}
+        assert {v.oracle for v in report.failure.result.failures} == {"structural"}
         assert report.saved_path is not None
         assert len(corpus.entries()) == 1
         # the saved spec is a valid platform and replays deterministically:
@@ -48,7 +36,7 @@ class TestFailingRun:
         results = replay_corpus([report.saved_path], corpus=corpus)
         assert len(results) == 1 and not results[0].ok
 
-    def test_without_corpus_nothing_is_saved(self, broken_fast_recording):
+    def test_without_corpus_nothing_is_saved(self, lost_transition_residency):
         report = run_fuzz(examples=50, seed=0, corpus=None)
         assert not report.ok and report.saved_path is None
 

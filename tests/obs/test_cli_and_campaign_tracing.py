@@ -38,8 +38,7 @@ class TestTraceFlagsParsing:
 class TestScenarioTraceCli:
     def test_scenario_writes_trace_and_prints_path(self, tmp_path, capsys):
         out = tmp_path / "a1.jsonl"
-        assert main(["scenario", "A1", "--accuracy", "fast",
-                     "--trace", "--trace-out", str(out)]) == 0
+        assert main(["scenario", "A1", "--trace", "--trace-out", str(out)]) == 0
         assert str(out) in capsys.readouterr().out
         assert out.is_file()
         first = json.loads(out.read_text().splitlines()[0])
@@ -47,7 +46,7 @@ class TestScenarioTraceCli:
 
     def test_platform_run_perfetto(self, tmp_path, capsys):
         out = tmp_path / "a1.json"
-        assert main(["platform", "run", "--name", "A1", "--accuracy", "fast",
+        assert main(["platform", "run", "--name", "A1",
                      "--trace", "perfetto", "--trace-out", str(out)]) == 0
         document = json.loads(out.read_text())
         assert isinstance(document["traceEvents"], list)
@@ -82,7 +81,6 @@ class TestCampaignTracing:
             "name": "traced",
             "scenarios": [{"kind": "paper", "name": "A1"}],
             "setups": [{"name": "paper"}],
-            "accuracy": "fast",
         })
 
     def test_per_job_traces_stored_and_linked(self, tmp_path):

@@ -2,8 +2,8 @@
 
 The central contract of ``repro.obs`` is that tracing is *observationally
 free*: a jsonl/perfetto-traced run produces bit-identical metrics to an
-untraced one in both accuracy modes (and, in exact mode, to the pinned
-goldens), because the hooks never attach signal observers.
+untraced one (and to the pinned goldens), because the hooks never attach
+signal observers.
 """
 
 import json
@@ -37,18 +37,11 @@ def _metric_hexes(metrics):
 
 
 @pytest.mark.parametrize("scenario_name", ["A1", "B"])
-@pytest.mark.parametrize("accuracy", ["exact", "fast"])
 @pytest.mark.parametrize("fmt", ["jsonl", "perfetto"])
-def test_traced_run_is_bit_identical_to_untraced(tmp_path, scenario_name, accuracy, fmt):
-    untraced = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(),
-        accuracy=accuracy, trace=False,
-    )
+def test_traced_run_is_bit_identical_to_untraced(tmp_path, scenario_name, fmt):
+    untraced = run_comparison(scenario_by_name(scenario_name), DpmSetup.paper(), trace=False)
     request = TraceRequest(format=fmt, path=str(tmp_path / f"t.{fmt}"))
-    traced = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(),
-        accuracy=accuracy, trace=request,
-    )
+    traced = run_comparison(scenario_by_name(scenario_name), DpmSetup.paper(), trace=request)
     assert _metric_hexes(traced) == _metric_hexes(untraced)
     assert traced.tasks_executed == untraced.tasks_executed
     assert (tmp_path / f"t.{fmt}").is_file()
@@ -66,11 +59,9 @@ def test_traced_exact_run_matches_golden(tmp_path, scenario_name):
         assert getattr(metrics, field).hex() == golden[field], field
 
 
-@pytest.mark.parametrize("accuracy", ["exact", "fast"])
-def test_every_emitted_event_validates_against_the_schema(tmp_path, accuracy):
+def test_every_emitted_event_validates_against_the_schema(tmp_path):
     path = tmp_path / "events.jsonl"
-    run_scenario("B", accuracy=accuracy,
-                 trace=TraceRequest(format="jsonl", path=str(path)))
+    run_scenario("B", trace=TraceRequest(format="jsonl", path=str(path)))
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert events, "a traced run must emit events"
     for event in events:
@@ -135,8 +126,8 @@ def test_untraced_run_never_imports_the_obs_package():
     code = (
         "import sys\n"
         "from repro.experiments.runner import run_scenario\n"
-        "run_scenario('A1', accuracy='fast', trace=False)\n"
-        "run_scenario('A1', accuracy='fast')\n"  # default trace=None
+        "run_scenario('A1', trace=False)\n"
+        "run_scenario('A1')\n"  # default trace=None
         "loaded = [m for m in sys.modules if m.startswith('repro.obs')]\n"
         "assert not loaded, loaded\n"
         "print('clean')\n"
@@ -149,11 +140,11 @@ def test_untraced_run_never_imports_the_obs_package():
 
 
 def test_trace_adds_no_signal_observers(tmp_path):
-    """jsonl/perfetto tracing must never attach signal observers (the
-    fast-path gates on observer presence, so this is what bit-identity
+    """jsonl/perfetto tracing must never attach signal observers (the bus
+    level signal gates on observer presence, so this is what bit-identity
     rests on)."""
     request = TraceRequest(format="jsonl", path=str(tmp_path / "t.jsonl"))
-    run = run_scenario("A1", accuracy="fast", trace=request)
+    run = run_scenario("A1", trace=request)
     for instance in run.soc.instances:
         assert instance.psm.state_signal._observers == []
 

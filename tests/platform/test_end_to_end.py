@@ -169,10 +169,9 @@ class TestCliPlatform:
         args = self.parse(["platform", "show", "--spec", "x.json", "--json"])
         assert args.platform_command == "show"
         assert args.spec == "x.json" and args.as_json
-        args = self.parse(["platform", "run", "--name", "A1", "--setup", "oracle",
-                           "--accuracy", "fast"])
+        args = self.parse(["platform", "run", "--name", "A1", "--setup", "oracle"])
         assert args.platform_command == "run"
-        assert (args.name, args.setup, args.accuracy) == ("A1", "oracle", "fast")
+        assert (args.name, args.setup) == ("A1", "oracle")
         assert self.parse(["platform", "list"]).platform_command == "list"
 
     def test_spec_and_name_are_mutually_exclusive(self, capsys):

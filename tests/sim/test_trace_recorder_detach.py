@@ -3,7 +3,7 @@ Signal.remove_observer.
 
 Before these existed, every ``watch`` pinned an anonymous observer to the
 signal for the signal's lifetime — which is a memory leak, and worse: the
-fast accuracy mode gates writes on observer presence, so a stale observer
+bus level signal gates its writes on observer presence, so a stale observer
 silently changes which writes happen at all.
 """
 

@@ -17,17 +17,16 @@ _spec.loader.exec_module(dashboard)
 def bench_json(speeds):
     """Synthesise a pytest-benchmark report with our extra_info layout.
 
-    Keys are ``(scenario, accuracy)``.
+    Keys are scenario names.
     """
     benchmarks = []
-    for (scenario, accuracy), speed in speeds.items():
+    for scenario, speed in speeds.items():
         benchmarks.append(
             {
-                "name": f"test_simulation_speed_{scenario}_{accuracy}",
+                "name": f"test_simulation_speed_{scenario}",
                 "extra_info": {
                     "kilocycles_per_second": speed,
                     "scenario": scenario,
-                    "accuracy": accuracy,
                 },
             }
         )
@@ -41,15 +40,15 @@ def isolate_step_summary(monkeypatch):
     monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
 
 
-SPEEDS_V1 = {("A1", "exact"): 3000.0, ("A1", "fast"): 4500.0, ("B", "exact"): 1200.0}
-SPEEDS_OK = {("A1", "exact"): 2900.0, ("A1", "fast"): 4600.0, ("B", "exact"): 1150.0}
-SPEEDS_REGRESSED = {("A1", "exact"): 2000.0, ("A1", "fast"): 4600.0, ("B", "exact"): 1150.0}
+SPEEDS_V1 = {"A1": 3000.0, "B": 1200.0}
+SPEEDS_OK = {"A1": 2900.0, "B": 1150.0}
+SPEEDS_REGRESSED = {"A1": 2000.0, "B": 1150.0}
 
 
 class TestExtractResults:
     def test_labels_and_values(self):
         results = dashboard.extract_results(bench_json(SPEEDS_V1))
-        assert results == {"A1/exact": 3000.0, "A1/fast": 4500.0, "B/exact": 1200.0}
+        assert results == {"A1": 3000.0, "B": 1200.0}
 
     def test_benchmarks_without_speed_are_skipped(self):
         report = {"benchmarks": [{"name": "kernel", "extra_info": {"timed_events": 5}}]}
@@ -58,21 +57,21 @@ class TestExtractResults:
 
 class TestHistory:
     def test_append_creates_and_orders_entries(self):
-        history = dashboard.append_entry({}, "aaa", {"A1/exact": 1.0}, timestamp=1.0)
-        history = dashboard.append_entry(history, "bbb", {"A1/exact": 2.0}, timestamp=2.0)
+        history = dashboard.append_entry({}, "aaa", {"A1": 1.0}, timestamp=1.0)
+        history = dashboard.append_entry(history, "bbb", {"A1": 2.0}, timestamp=2.0)
         assert [e["commit"] for e in history["entries"]] == ["aaa", "bbb"]
 
     def test_same_commit_replaces_its_entry(self):
-        history = dashboard.append_entry({}, "aaa", {"A1/exact": 1.0}, timestamp=1.0)
-        history = dashboard.append_entry(history, "aaa", {"A1/exact": 3.0}, timestamp=2.0)
+        history = dashboard.append_entry({}, "aaa", {"A1": 1.0}, timestamp=1.0)
+        history = dashboard.append_entry(history, "aaa", {"A1": 3.0}, timestamp=2.0)
         assert len(history["entries"]) == 1
-        assert history["entries"][0]["results"]["A1/exact"] == 3.0
+        assert history["entries"][0]["results"]["A1"] == 3.0
 
     def test_history_is_bounded(self):
         history = {}
         for index in range(dashboard.MAX_ENTRIES + 10):
             history = dashboard.append_entry(
-                history, f"c{index}", {"A1/exact": 1.0}, timestamp=float(index)
+                history, f"c{index}", {"A1": 1.0}, timestamp=float(index)
             )
         assert len(history["entries"]) == dashboard.MAX_ENTRIES
 
@@ -89,35 +88,29 @@ class TestRegressionGate:
     def test_exact_regression_detected(self):
         history = self._history(SPEEDS_V1, SPEEDS_REGRESSED)
         regressions = dashboard.find_regressions(history, threshold=0.20)
-        assert [r[0] for r in regressions] == ["A1/exact"]
+        assert [r[0] for r in regressions] == ["A1"]
         _, prev, cur, drop = regressions[0]
         assert (prev, cur) == (3000.0, 2000.0)
         assert drop == pytest.approx(1.0 / 3.0)
 
-    def test_fast_mode_is_tracked_but_not_gated(self):
-        slow_fast = dict(SPEEDS_OK)
-        slow_fast[("A1", "fast")] = 100.0
-        history = self._history(SPEEDS_V1, slow_fast)
-        assert dashboard.find_regressions(history, threshold=0.20) == []
-
     def test_single_entry_never_fails(self):
-        history = dashboard.append_entry({}, "one", {"A1/exact": 1.0}, 1.0)
+        history = dashboard.append_entry({}, "one", {"A1": 1.0}, 1.0)
         assert dashboard.find_regressions(history, threshold=0.20) == []
 
     def test_missing_series_is_not_a_regression(self):
         """A gated series that the current run did not record (its benchmark
         was renamed or skipped) must not gate the merge."""
         with_extra = dict(SPEEDS_V1)
-        with_extra[("C", "exact")] = 9000.0
+        with_extra["C"] = 9000.0
         history = self._history(with_extra, SPEEDS_OK)
         assert dashboard.find_regressions(history, threshold=0.20) == []
 
 
 class TestMarkdownAndMain:
     def test_markdown_contains_commits_and_labels(self):
-        history = dashboard.append_entry({}, "abcdef1234567890", {"A1/exact": 2950.5}, 1.0)
+        history = dashboard.append_entry({}, "abcdef1234567890", {"A1": 2950.5}, 1.0)
         text = dashboard.render_markdown(history)
-        assert "| commit | A1/exact |" in text
+        assert "| commit | A1 |" in text
         assert "`abcdef1234`" in text
         assert "2,950" in text
 

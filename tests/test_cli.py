@@ -182,6 +182,18 @@ class TestCampaignCommand:
         assert err.startswith("error:")
         assert "setup" in err
 
+    def test_removed_fast_accuracy_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({
+            "name": "x", "scenarios": ["A1"], "setups": ["paper"], "accuracy": "fast",
+        }))
+        assert main(["campaign", "run", str(path), "--dir", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown accuracy mode 'fast'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_spec_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["campaign", "run", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
