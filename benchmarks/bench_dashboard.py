@@ -2,9 +2,9 @@
 
 Folds the per-commit ``BENCH_sim_speed.json`` artifacts produced by the CI
 ``bench-smoke`` job into a running ``BENCH_history.json`` plus a markdown
-table (Kcycle/s per commit), and gates merges: the job fails when any
-benchmark regresses by more than the threshold against the previous recorded
-runs.
+table (Kcycle/s per commit, builds/s for the SoC build benchmark), and gates
+merges: the job fails when any benchmark regresses by more than the
+threshold against the previous recorded runs.
 
 Usage (what the ``bench-dashboard`` CI job runs)::
 
@@ -29,6 +29,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
+    "RATE_KEYS",
     "extract_results",
     "append_entry",
     "find_regressions",
@@ -40,17 +41,27 @@ __all__ = [
 MAX_ENTRIES = 200
 
 
-def extract_results(bench_json: dict) -> Dict[str, float]:
-    """Pull ``{benchmark-label: Kcycle/s}`` out of a pytest-benchmark report.
+#: the throughput figures a benchmark may record, in order of preference;
+#: all are rates, so higher is better and one gate fits every series
+RATE_KEYS = ("kilocycles_per_second", "builds_per_second")
 
-    The label is the ``scenario`` the benchmark recorded (see
-    ``bench_sim_speed.py``); other benchmarks fall back to their test name
-    and whatever throughput figure they exposed.
+
+def _unit(label: str) -> str:
+    return "builds/s" if label.startswith("SOC-BUILD") else "Kcycle/s"
+
+
+def extract_results(bench_json: dict) -> Dict[str, float]:
+    """Pull ``{benchmark-label: rate}`` out of a pytest-benchmark report.
+
+    The rate is the benchmark's Kcycle/s, or builds/s for the SoC build
+    benchmark (see :data:`RATE_KEYS`).  The label is the ``scenario`` the
+    benchmark recorded (see ``bench_sim_speed.py``); other benchmarks fall
+    back to their test name.
     """
     results: Dict[str, float] = {}
     for bench in bench_json.get("benchmarks", []):
         extra = bench.get("extra_info", {})
-        speed = extra.get("kilocycles_per_second")
+        speed = next((extra[key] for key in RATE_KEYS if key in extra), None)
         if speed is None:
             continue
         label = extra.get("scenario") or bench.get("name", "unknown")
@@ -127,7 +138,7 @@ def render_markdown(history: dict, max_rows: int = 25) -> str:
     lines = [
         "# Simulation-speed dashboard",
         "",
-        "Kcycle/s per commit.",
+        "Kcycle/s per commit (builds/s for the `SOC-BUILD-*` series).",
         "",
         "| commit | " + " | ".join(labels) + " |",
         "|---" * (len(labels) + 1) + "|",
@@ -145,7 +156,7 @@ def render_markdown(history: dict, max_rows: int = 25) -> str:
             a, b = first["results"].get(label), last["results"].get(label)
             if a and b:
                 lines.append(
-                    f"- `{label}`: {a:,.0f} → {b:,.0f} Kcycle/s "
+                    f"- `{label}`: {a:,.0f} → {b:,.0f} {_unit(label)} "
                     f"({b / a:.2f}x over {len(entries)} commits)"
                 )
     return "\n".join(lines) + "\n"
@@ -168,7 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(args.current, "r", encoding="utf-8") as handle:
         results = extract_results(json.load(handle))
     if not results:
-        print("error: no benchmark results with kilocycles_per_second found", file=sys.stderr)
+        print("error: no benchmark results with a rate "
+              f"({' or '.join(RATE_KEYS)}) found", file=sys.stderr)
         return 2
 
     # The history file may be missing (first run ever), zero bytes (an
@@ -215,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     regressions = find_regressions(history, args.fail_threshold)
     for label, prev, cur, drop in regressions:
         print(
-            f"REGRESSION {label}: {prev:,.0f} -> {cur:,.0f} Kcycle/s "
+            f"REGRESSION {label}: {prev:,.0f} -> {cur:,.0f} {_unit(label)} "
             f"(-{drop:.0%}, threshold {args.fail_threshold:.0%})",
             file=sys.stderr,
         )

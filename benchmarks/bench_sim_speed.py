@@ -18,15 +18,18 @@ from repro.dpm import DpmSetup
 from repro.experiments import run_scenario, scenario_by_name
 from repro.platform import PlatformBuilder
 from repro.sim import Kernel, ns, us
+from repro.soc import build_soc
 
 
 @functools.lru_cache(maxsize=None)
 def _warm_up() -> None:
-    """One throwaway run per process, shared by every variant.
+    """One throwaway A1 run per process, shared by every benchmark.
 
-    The first run pays scenario-table and bytecode warm-up; routing all
-    variants through this single warm-up keeps that one-time cost out of
-    every timed region.
+    The first run pays the process's one-time costs: lazy imports, the
+    default power model and Table 1 rows (built once per process and then
+    shared by every SoC), and the first-call overheads of the interpreter.
+    Routing every benchmark through this single warm-up keeps those costs
+    out of every timed region.
     """
     run_scenario(scenario_by_name("A1"), DpmSetup.paper())
 
@@ -87,6 +90,30 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
     benchmark.extra_info["scenario"] = "A1-traced"
     print(f"\n[sim-speed A1/traced] {speed:.0f} Kcycle/s")
     assert speed > 35.0
+
+
+@pytest.mark.benchmark(group="soc-build")
+def test_soc_build_multi_ip(benchmark):
+    """Build cost of the four-IP GEM scenario B, apart from its simulation.
+
+    Only ``build_soc`` is timed; each round gets fresh IP specs and SoC
+    configuration.  The power models are warm (cached per process), so this
+    is what every build after the first pays.  The dashboard tracks the
+    rate as ``SOC-BUILD-B`` in builds per second.
+    """
+    _warm_up()
+    scenario = scenario_by_name("B")
+
+    def fresh_inputs():
+        return (scenario.build_specs(), scenario.build_config(), DpmSetup.paper()), {}
+
+    soc = benchmark.pedantic(build_soc, setup=fresh_inputs, rounds=50, warmup_rounds=2)
+    assert len(soc.instances) == 4 and soc.gem is not None
+    builds_per_second = 1.0 / benchmark.stats.stats.median
+    benchmark.extra_info["builds_per_second"] = round(builds_per_second, 1)
+    benchmark.extra_info["scenario"] = "SOC-BUILD-B"
+    print(f"\n[soc-build B] {1e3 / builds_per_second:.2f} ms per build "
+          f"({builds_per_second:.0f} builds/s)")
 
 
 def _bus_contention_platform(timing: str):

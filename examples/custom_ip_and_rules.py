@@ -31,13 +31,11 @@ from repro.dpm import (
     TemperatureLevel,
 )
 from repro.power import (
-    BreakEvenAnalyzer,
-    InstructionClass,
     OperatingPoint,
     OperatingPointTable,
     PowerCharacterization,
+    PowerModel,
     PowerState,
-    default_transition_table,
 )
 from repro.sim import sec, us
 from repro.soc import IpSpec, SocConfig, build_soc, bursty_workload
@@ -78,19 +76,17 @@ def media_rule_table() -> RuleTable:
 
 
 def main() -> None:
-    characterization = media_accelerator_characterization()
-    transitions = default_transition_table(
-        reference_power_w=characterization.active_power_w(S.ON1)
-    )
+    # The default transition table, scaled to this IP's ON1 power, and the
+    # break-even analysis the LEM will use are derived once, here.
+    power = PowerModel.build(characterization=media_accelerator_characterization())
 
     print("Break-even times of the custom IP (who is worth sleeping for?):")
-    analyzer = BreakEvenAnalyzer(characterization, transitions)
     rows = [
         [str(entry.state),
          f"{entry.round_trip_latency.seconds * 1e6:.0f}",
          f"{entry.round_trip_energy_j * 1e6:.1f}",
          "-" if entry.break_even is None else f"{entry.break_even.seconds * 1e6:.0f}"]
-        for entry in analyzer.entries
+        for entry in power.breakeven.entries
     ]
     print(format_table(["state", "round trip (us)", "round trip (uJ)", "break-even (us)"], rows))
 
@@ -111,12 +107,7 @@ def main() -> None:
         priorities=(P.VERY_HIGH, P.HIGH, P.MEDIUM, P.LOW),
         name="frames",
     )
-    spec = IpSpec(
-        name="media",
-        workload=workload,
-        characterization=characterization,
-        transitions=transitions,
-    )
+    spec = IpSpec(name="media", workload=workload, power=power)
     soc = build_soc([spec], SocConfig(name="media_soc"), setup)
     end_time = soc.run_until_done(max_time=sec(5))
 

@@ -49,9 +49,7 @@ from repro.analysis.report import format_table, render_comparison
 from repro.battery.status import BatteryLevel
 from repro.dpm.controller import DpmSetup
 from repro.dpm.rules import paper_rule_table
-from repro.power.breakeven import BreakEvenAnalyzer
-from repro.power.characterization import default_characterization
-from repro.power.transitions import default_transition_table
+from repro.power.model import default_power_model
 from repro.sim.simtime import ms
 from repro.soc.bus import BusLevel
 from repro.soc.task import TaskPriority
@@ -616,19 +614,12 @@ def _cmd_speed(args) -> int:
 
 
 def _cmd_breakeven(_args) -> int:
-    characterization = default_characterization()
-    transitions = default_transition_table(
-        reference_power_w=characterization.active_power_w(
-            characterization.operating_points.fastest.state
-        )
-    )
-    analyzer = BreakEvenAnalyzer(characterization, transitions)
     rows = [
         [str(entry.state),
          f"{entry.round_trip_latency.seconds * 1e6:.0f}",
          f"{entry.round_trip_energy_j * 1e6:.2f}",
          "-" if entry.break_even is None else f"{entry.break_even.seconds * 1e6:.0f}"]
-        for entry in analyzer.entries
+        for entry in default_power_model().breakeven.entries
     ]
     print(format_table(["state", "round trip (us)", "round trip (uJ)", "break-even (us)"], rows))
     return 0

@@ -342,18 +342,14 @@ class RuleTable:
         return RuleTable(rules, name=name)
 
 
-def paper_rule_table() -> RuleTable:
-    """The power-state selection algorithm of the paper's Table 1.
-
-    Rows appear in the paper's order (first match wins); the trailing
-    ``completion-*`` rules make the table total, see the module docstring.
-    """
+def _table1_rules() -> Tuple[Rule, ...]:
+    """Table 1 in the paper's row order, then the completion rules."""
     very_high = [_P.VERY_HIGH]
     not_very_high = [_P.HIGH, _P.MEDIUM, _P.LOW]
     battery_mid_high = [_B.MEDIUM, _B.HIGH]
     temp_low_medium = [_T.LOW, _T.MEDIUM]
 
-    rules = [
+    return (
         # V E - -> ON4
         Rule.of(_S.ON4, very_high, [_B.EMPTY], None, label="t1-row1"),
         # V - H -> ON4
@@ -390,5 +386,19 @@ def paper_rule_table() -> RuleTable:
         Rule.of(_S.ON2, [_P.HIGH], None, [_T.MEDIUM], label="completion-4"),
         Rule.of(_S.ON3, [_P.MEDIUM], None, [_T.MEDIUM], label="completion-5"),
         Rule.of(_S.ON4, None, None, None, label="completion-default"),
-    ]
-    return RuleTable(rules, name="table1")
+    )
+
+
+#: Table 1's rows, built once: a :class:`Rule` is frozen, so every table
+#: shares them; the hit counts and the first-match cache stay per table.
+_TABLE1_RULES = _table1_rules()
+
+
+def paper_rule_table() -> RuleTable:
+    """The power-state selection algorithm of the paper's Table 1.
+
+    Rows appear in the paper's order (first match wins); the trailing
+    ``completion-*`` rules make the table total, see the module docstring.
+    Each call returns a fresh table over the shared rows.
+    """
+    return RuleTable(_TABLE1_RULES, name="table1")

@@ -16,19 +16,12 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.dpm.rules import RuleTable, paper_rule_table
 from repro.errors import ReproError
-from repro.platform.build import (
-    build_characterization,
-    build_transitions,
-    build_workload,
-)
+from repro.platform.build import build_workload, ip_power_model
 from repro.platform.spec import IpDef, PlatformSpec
 from repro.power.breakeven import BreakEvenAnalyzer
-from repro.power.characterization import (
-    PowerCharacterization,
-    default_characterization,
-)
+from repro.power.characterization import PowerCharacterization
 from repro.power.states import SLEEP_STATES, PowerState
-from repro.power.transitions import TransitionTable, default_transition_table
+from repro.power.transitions import TransitionTable
 from repro.soc.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (reach imports us)
@@ -106,12 +99,9 @@ class SpecModel:
 
 
 def _build_ip(index: int, ip: IpDef) -> IpModel:
-    characterization = build_characterization(ip) or default_characterization()
-    transitions = build_transitions(ip, characterization)
-    if transitions is None:
-        transitions = default_transition_table(
-            reference_power_w=characterization.active_power_w(PowerState.ON1)
-        )
+    power = ip_power_model(ip)
+    characterization = power.characterization
+    transitions = power.transitions
     complete = [
         state
         for state in LOW_STATES

@@ -2,8 +2,7 @@
 
 The spec tree is pure data; this module turns it into the library's value
 objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
-:class:`~repro.power.characterization.PowerCharacterization`,
-:class:`~repro.power.transitions.TransitionTable`,
+:class:`~repro.power.model.PowerModel`,
 :class:`~repro.dpm.controller.DpmSetup`) and finally into a
 :class:`PlatformScenario` — a :class:`~repro.experiments.scenarios.Scenario`
 that remembers its spec, so the runners can honour the platform's policy and
@@ -18,6 +17,8 @@ the six paper scenarios become thin built-in specs (see
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -37,17 +38,25 @@ from repro.experiments.scenarios import (
     scenario_a_workload,
     thermal_condition,
 )
-from repro.platform.spec import BatteryDef, IpDef, PlatformSpec, PolicyDef, ThermalDef, WorkloadDef
+from repro.platform.spec import (
+    CHARACTERIZATION_FIELDS,
+    BatteryDef,
+    IpDef,
+    PlatformSpec,
+    PolicyDef,
+    ThermalDef,
+    WorkloadDef,
+)
 from repro.power.characterization import (
     DEFAULT_ACTIVITY,
     DEFAULT_RESIDUAL_FRACTION,
     InstructionClass,
     PowerCharacterization,
-    default_characterization,
 )
+from repro.power.model import PowerModel, default_power_model, scaled_transition_table
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.states import PowerState
-from repro.power.transitions import TransitionCost, TransitionTable, default_transition_table
+from repro.power.transitions import TransitionCost, TransitionTable
 from repro.sim.simtime import ms, us
 from repro.soc.soc import IpSpec, SocConfig
 from repro.soc.task import TaskPriority
@@ -71,6 +80,7 @@ __all__ = [
     "build_thermal_config",
     "build_transitions",
     "build_workload",
+    "ip_power_model",
     "platform_setup",
     "to_scenario",
 ]
@@ -172,9 +182,9 @@ def _post_transform(wdef: WorkloadDef, workload: Workload) -> Workload:
 def build_characterization(ipdef: IpDef) -> Optional[PowerCharacterization]:
     """The IP's characterisation, or ``None`` for the library default.
 
-    Returning ``None`` (rather than ``default_characterization()``) keeps
-    the spec path byte-identical to the legacy builders, which also pass
-    ``None`` through :class:`~repro.soc.soc.IpSpec`.
+    Returning ``None`` (rather than a fresh default object) lets
+    :func:`ip_power_model` hand every default IP the one shared
+    :func:`~repro.power.model.default_power_model`.
     """
     if not ipdef.has_custom_characterization():
         return None
@@ -225,10 +235,7 @@ def build_transitions(
     psm = ipdef.psm
     if psm is None:
         return None
-    reference = characterization or default_characterization()
-    kwargs: Dict[str, object] = {
-        "reference_power_w": reference.active_power_w(PowerState.ON1),
-    }
+    kwargs: Dict[str, object] = {}
     if psm.dvfs_latency_us is not None:
         kwargs["dvfs_latency"] = us(psm.dvfs_latency_us)
     if psm.entry_latency_us:
@@ -239,12 +246,12 @@ def build_transitions(
         kwargs["wakeup_latency"] = {
             PowerState(state): us(value) for state, value in psm.wakeup_latency_us.items()
         }
-    table = default_transition_table(**kwargs)
+    table = scaled_transition_table(
+        characterization or default_power_model().characterization, **kwargs
+    )
     if not psm.transitions:
         return table
-    costs: Dict[Tuple[PowerState, PowerState], TransitionCost] = {
-        pair: table.cost(*pair) for pair in table.transitions
-    }
+    costs: Dict[Tuple[PowerState, PowerState], TransitionCost] = dict(table.costs)
     for entry in psm.transitions:
         pair = (PowerState(entry.source), PowerState(entry.target))
         if entry.allowed:
@@ -254,6 +261,52 @@ def build_transitions(
     return TransitionTable(costs)
 
 
+#: IpDef fields that determine the IP's power model; no other field does.
+_POWER_FIELDS = CHARACTERIZATION_FIELDS + ("psm",)
+
+
+class _PowerFields:
+    """An IpDef seen only through its power fields: equal, and hashing
+    alike, exactly when their canonical JSON is equal."""
+
+    __slots__ = ("ipdef", "key")
+
+    def __init__(self, ipdef: IpDef) -> None:
+        self.ipdef = ipdef
+        self.key = json.dumps(
+            {key: getattr(ipdef, key) for key in _POWER_FIELDS
+             if getattr(ipdef, key) is not None},
+            sort_keys=True, separators=(",", ":"), default=lambda value: value.to_dict(),
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _PowerFields) and self.key == other.key
+
+
+@functools.lru_cache(maxsize=256)
+def _power_model(fields: _PowerFields) -> PowerModel:
+    characterization = build_characterization(fields.ipdef)
+    return PowerModel.build(characterization, build_transitions(fields.ipdef, characterization))
+
+
+def ip_power_model(ipdef: IpDef) -> PowerModel:
+    """The IP's :class:`~repro.power.model.PowerModel`, built once per content.
+
+    Models are cached per process, keyed by the canonical JSON of the power
+    fields only (characterisation, ``operating_points``, ``psm``): IPs that
+    differ in name, workload, priorities or bus use share one model, and an
+    IP with none of those fields gets :func:`default_power_model`.  The
+    cache is bounded; ``ip_power_model.cache_info()`` reports its use.
+    """
+    return _power_model(_PowerFields(ipdef))
+
+
+ip_power_model.cache_info = _power_model.cache_info  # type: ignore[attr-defined]
+
+
 def build_ip_spec(ipdef: IpDef, index: int = 0, seed: Optional[int] = None) -> IpSpec:
     """One :class:`IpSpec` from its definition.
 
@@ -261,15 +314,13 @@ def build_ip_spec(ipdef: IpDef, index: int = 0, seed: Optional[int] = None) -> I
     ``seed + index`` (the IP's position in the platform), so sweeping a seed
     re-rolls every IP while keeping them decorrelated.
     """
-    characterization = build_characterization(ipdef)
     return IpSpec(
         name=ipdef.name,
         workload=build_workload(
             ipdef.workload, None if seed is None else seed + index
         ),
         static_priority=ipdef.static_priority,
-        characterization=characterization,
-        transitions=build_transitions(ipdef, characterization),
+        power=ip_power_model(ipdef),
         initial_state=PowerState(ipdef.initial_state),
         bus_words_per_task=ipdef.bus_words_per_task,
         bus_priority=ipdef.bus_priority,
@@ -457,10 +508,10 @@ def _paper_row_for(spec: PlatformSpec):
     registered) must not inherit the paper's printed figures as its
     reference — only a spec equal to the built-in platform does.
     """
-    from repro.platform.registry import PAPER_PLATFORM_NAMES, platform_by_name
+    from repro.platform.registry import PAPER_PLATFORM_NAMES, is_registered
 
     name = spec.name.upper()
-    if name not in PAPER_PLATFORM_NAMES or spec != platform_by_name(name):
+    if name not in PAPER_PLATFORM_NAMES or not is_registered(spec):
         return None
     from repro.analysis.report import PAPER_TABLE2
 

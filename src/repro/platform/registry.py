@@ -32,6 +32,7 @@ from repro.platform.spec import (
 __all__ = [
     "PAPER_PLATFORM_NAMES",
     "has_platform",
+    "is_registered",
     "paper_platforms",
     "platform_by_name",
     "platform_names",
@@ -84,6 +85,16 @@ def unregister_platform(name: str) -> None:
 def has_platform(name: str) -> bool:
     """True when ``name`` resolves to a registered platform."""
     return name.lower() in _REGISTRY
+
+
+def is_registered(spec: PlatformSpec) -> bool:
+    """True when ``spec`` equals the platform registered under its name.
+
+    Compares against the registered spec in place: unlike
+    :func:`platform_by_name` it makes no copy, because it hands nothing out.
+    """
+    registered = _REGISTRY.get(spec.name.lower())
+    return registered is not None and registered == spec
 
 
 def platform_by_name(name: str) -> PlatformSpec:

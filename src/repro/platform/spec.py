@@ -564,6 +564,14 @@ class WorkloadDef:
             _fail(path, "a random workload needs 'task_count'")
 
 
+#: The IpDef fields that make up the IP's power characterisation.
+CHARACTERIZATION_FIELDS = (
+    "max_frequency_hz", "max_voltage_v", "effective_capacitance_f",
+    "idle_activity", "leakage_coefficient", "activity_by_class",
+    "residual_fraction", "operating_points",
+)
+
+
 @dataclass
 class IpDef:
     """Declarative description of one IP block.
@@ -593,14 +601,7 @@ class IpDef:
 
     def has_custom_characterization(self) -> bool:
         """True when any characterisation knob differs from the defaults."""
-        return any(
-            getattr(self, key) is not None
-            for key in (
-                "max_frequency_hz", "max_voltage_v", "effective_capacitance_f",
-                "idle_activity", "leakage_coefficient", "activity_by_class",
-                "residual_fraction", "operating_points",
-            )
-        )
+        return any(getattr(self, key) is not None for key in CHARACTERIZATION_FIELDS)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"name": self.name, "workload": self.workload.to_dict()}

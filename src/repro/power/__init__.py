@@ -9,6 +9,7 @@ from repro.power.characterization import (
     default_characterization,
 )
 from repro.power.energy import EnergyAccount, EnergyCategory, EnergyLedger
+from repro.power.model import PowerModel, default_power_model, scaled_transition_table
 from repro.power.operating_point import (
     OperatingPoint,
     OperatingPointTable,
@@ -31,6 +32,7 @@ __all__ = [
     "OperatingPoint",
     "OperatingPointTable",
     "PowerCharacterization",
+    "PowerModel",
     "PowerState",
     "PowerStateMachine",
     "SLEEP_STATES",
@@ -39,5 +41,7 @@ __all__ = [
     "break_even_time",
     "default_characterization",
     "default_operating_points",
+    "default_power_model",
     "default_transition_table",
+    "scaled_transition_table",
 ]

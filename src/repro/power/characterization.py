@@ -10,15 +10,16 @@ IP executes.  This module provides that characterisation table:
 * idle power for every ON state (clock running, no instructions retired),
 * residual power for every sleep state and for soft-off.
 
-A characterisation is a plain value object; the :class:`~repro.power.psm.PowerStateMachine`
-and the Local Energy Manager query it but never modify it.
+A characterisation is a frozen value object; the :class:`~repro.power.psm.PowerStateMachine`
+and the Local Energy Manager query it but never modify it, so one object can
+be shared by every SoC built in a process (see :mod:`repro.power.model`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import PowerModelError
 from repro.power.operating_point import OperatingPointTable, default_operating_points
@@ -72,7 +73,7 @@ DEFAULT_RESIDUAL_FRACTION: Dict[PowerState, float] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerCharacterization:
     """Average power/energy figures of one IP across all power states.
 
@@ -106,6 +107,10 @@ class PowerCharacterization:
         default_factory=lambda: dict(DEFAULT_RESIDUAL_FRACTION)
     )
     leakage_coefficient: float = 0.004
+    # Memo tables, filled by __post_init__ (see there); not part of the value.
+    _idle_power_cache: List[Optional[float]] = field(init=False, repr=False, compare=False)
+    _energy_per_cycle_cache: Dict[int, float] = field(init=False, repr=False, compare=False)
+    _execution_time_cache: Dict[tuple, SimTime] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.effective_capacitance_f <= 0.0:
@@ -126,14 +131,14 @@ class PowerCharacterization:
                 raise PowerModelError(f"residual fraction of {state} must be in [0, 1]")
         self._validate_sleep_ordering()
         # Memoisation of the pure per-state figures.  A characterisation is a
-        # value object (never mutated after construction), so caching the
-        # computed floats returns bit-identical values while keeping the
-        # simulation hot path free of repeated table lookups.  Keys are the
-        # dense per-member ``_idx`` indices (integer hashing is C-speed,
+        # frozen value object, so caching the computed floats returns
+        # bit-identical values, whichever run filled the cache, while keeping
+        # the simulation hot path free of repeated table lookups.  Keys are
+        # the dense per-member ``_idx`` indices (integer hashing is C-speed,
         # enum hashing is not).
-        self._idle_power_cache: list = [None] * len(PowerState)
-        self._energy_per_cycle_cache: Dict[int, float] = {}
-        self._execution_time_cache: Dict[tuple, SimTime] = {}
+        object.__setattr__(self, "_idle_power_cache", [None] * len(PowerState))
+        object.__setattr__(self, "_energy_per_cycle_cache", {})
+        object.__setattr__(self, "_execution_time_cache", {})
 
     def _validate_sleep_ordering(self) -> None:
         ordered = [self.residual_fraction[state] for state in SLEEP_STATES]

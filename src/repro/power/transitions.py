@@ -15,6 +15,7 @@ provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, PowerModelError
@@ -46,16 +47,34 @@ class TransitionTable:
 
     A transition that is not present in the table is illegal: the PSM will
     raise :class:`~repro.errors.InvalidTransitionError` if asked to perform
-    it.  Self-transitions are always legal and free.
+    it.  Self-transitions are always legal and free.  A table is read-only
+    once built (its costs are exposed as a read-only mapping and its
+    attributes cannot be reassigned), so one table can be shared by every
+    PSM built in a process.
     """
 
+    __slots__ = ("_costs",)
+    _costs: Dict[Tuple[PowerState, PowerState], TransitionCost]
+
     def __init__(self, costs: Mapping[Tuple[PowerState, PowerState], TransitionCost]) -> None:
-        self._costs: Dict[Tuple[PowerState, PowerState], TransitionCost] = dict(costs)
-        for (source, target), cost in self._costs.items():
+        owned: Dict[Tuple[PowerState, PowerState], TransitionCost] = dict(costs)
+        for (source, target), cost in owned.items():
             if not isinstance(cost, TransitionCost):
                 raise PowerModelError(f"cost of {source}->{target} is not a TransitionCost")
             if source == target and (cost.energy_j != 0.0 or not cost.latency.is_zero):
                 raise PowerModelError("self-transitions must be free")
+        object.__setattr__(self, "_costs", owned)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a TransitionTable is read-only (cannot set {name!r})")
+
+    def __reduce__(self):
+        return (TransitionTable, (self._costs,))
+
+    @property
+    def costs(self) -> Mapping[Tuple[PowerState, PowerState], TransitionCost]:
+        """Every explicitly listed transition and its cost (read-only)."""
+        return MappingProxyType(self._costs)
 
     # -- queries ---------------------------------------------------------
     def is_allowed(self, source: PowerState, target: PowerState) -> bool:

@@ -19,12 +19,11 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.battery.model import Battery, BatteryConfig
 from repro.battery.monitor import BatteryMonitor
 from repro.errors import ConfigurationError
-from repro.power.breakeven import BreakEvenAnalyzer
-from repro.power.characterization import PowerCharacterization, default_characterization
+from repro.power.characterization import PowerCharacterization
 from repro.power.energy import EnergyLedger
+from repro.power.model import PowerModel, default_power_model
 from repro.power.psm import PowerStateMachine
 from repro.power.states import PowerState
-from repro.power.transitions import TransitionTable, default_transition_table
 from repro.sim.module import Module
 from repro.sim.simtime import SimTime, ms, sec
 from repro.sim.simulator import Simulator
@@ -45,13 +44,17 @@ __all__ = ["IpSpec", "SocConfig", "IpInstance", "SoC", "build_soc"]
 
 @dataclass
 class IpSpec:
-    """Declarative description of one IP block."""
+    """Declarative description of one IP block.
+
+    ``power`` is the IP's derived power model (characterisation, transition
+    costs, break-even analysis).  It is immutable and may be shared by any
+    number of specs and SoCs; the default is the process-wide library model.
+    """
 
     name: str
     workload: Workload
     static_priority: int = 1
-    characterization: Optional[PowerCharacterization] = None
-    transitions: Optional[TransitionTable] = None
+    power: PowerModel = field(default_factory=default_power_model)
     initial_state: PowerState = PowerState.ON1
     bus_words_per_task: int = 0
     #: arbitration priority on the shared bus; ``None`` reuses the static
@@ -325,21 +328,17 @@ def build_soc(
         )
 
     for spec in ip_specs:
-        characterization = spec.characterization or default_characterization()
-        transitions = spec.transitions or default_transition_table(
-            reference_power_w=characterization.active_power_w(PowerState.ON1)
-        )
+        characterization = spec.power.characterization
         account = soc.ledger.account(spec.name)
         psm = PowerStateMachine(
             simulator.kernel,
             f"{spec.name}_psm",
             characterization=characterization,
-            transitions=transitions,
+            transitions=spec.power.transitions,
             energy_account=account,
             initial_state=spec.initial_state,
             parent=soc,
         )
-        breakeven = BreakEvenAnalyzer(characterization, transitions)
         lem = LocalEnergyManager(
             simulator.kernel,
             f"{spec.name}_lem",
@@ -348,7 +347,7 @@ def build_soc(
             characterization=characterization,
             battery=soc.battery,
             thermal=soc.thermal,
-            breakeven=breakeven,
+            breakeven=spec.power.breakeven,
             policy=dpm.make_policy(),
             predictor=dpm.make_predictor(),
             gem=soc.gem,

@@ -135,10 +135,15 @@ class TestRunCampaign:
         assert resumed.ok == 4
 
     def test_job_timeout_is_captured(self, tmp_path):
+        # 2000 tasks per IP of the four-IP GEM scenario (with the simulated
+        # time to drain them) take seconds of real simulation on any host,
+        # hundreds of times the 5 ms alarm, so the outcome does not depend
+        # on how fast the simulator is.
         spec = small_spec(
-            scenarios=["B"],  # the four-IP GEM scenario takes tens of ms
+            scenarios=["B"],
             setups=["paper"],
             seeds=[1],
+            overrides=[{"task_count": 2000, "max_time_ms": 60000}],
         )
         summary = run_campaign(spec, tmp_path / "camp", workers=1,
                                job_timeout_s=0.005)

@@ -26,6 +26,7 @@ from repro.platform import (
     to_scenario,
 )
 from repro.platform.build import build_characterization, build_transitions
+from repro.power.model import default_power_model
 from repro.power.states import PowerState
 from repro.sim.simtime import us
 from repro.soc.task import TaskPriority
@@ -46,7 +47,7 @@ class TestPaperMigration:
             for old, new in zip(legacy_specs, modern_specs):
                 assert old.workload.as_dicts() == new.workload.as_dicts()
                 assert (old.name, old.static_priority) == (new.name, new.static_priority)
-                assert new.characterization is None and new.transitions is None
+                assert new.power is old.power is default_power_model()
             assert legacy.build_config() == modern.build_config()
             assert legacy.max_time == modern.max_time
 

@@ -50,6 +50,15 @@ class TestExtractResults:
         results = dashboard.extract_results(bench_json(SPEEDS_V1))
         assert results == {"A1": 3000.0, "B": 1200.0}
 
+    def test_build_rate_is_a_series_too(self):
+        report = {"benchmarks": [{"name": "test_soc_build_multi_ip", "extra_info": {
+            "builds_per_second": 410.0, "scenario": "SOC-BUILD-B"}}]}
+        assert dashboard.extract_results(report) == {"SOC-BUILD-B": 410.0}
+        history = dashboard.append_entry({}, "aaa", {"SOC-BUILD-B": 410.0}, 1.0)
+        history = dashboard.append_entry(history, "bbb", {"SOC-BUILD-B": 300.0}, 2.0)
+        assert "410 → 300 builds/s" in dashboard.render_markdown(history)
+        assert dashboard.find_regressions(history, threshold=0.20)[0][0] == "SOC-BUILD-B"
+
     def test_benchmarks_without_speed_are_skipped(self):
         report = {"benchmarks": [{"name": "kernel", "extra_info": {"timed_events": 5}}]}
         assert dashboard.extract_results(report) == {}
