@@ -4,7 +4,8 @@ The monitor closes the loop between the energy ledger and the battery model:
 every ``sample_interval`` it drains the battery by the energy the SoC
 consumed since the previous sample and publishes the quantised
 :class:`~repro.battery.status.BatteryLevel` on a signal that the LEMs and the
-GEM read.
+GEM read.  Lazily integrated energy (PSM background power, the fan) must be
+posted to the ledger first; the SoC's sampler does that once per window.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class BatteryMonitor(Module):
         battery: Battery,
         ledger: EnergyLedger,
         sample_interval: Optional[SimTime] = None,
-        pre_sample=None,
         autonomous: bool = True,
         parent: Optional[Module] = None,
     ) -> None:
@@ -41,13 +41,11 @@ class BatteryMonitor(Module):
             raise BatteryError("battery sample interval must be positive")
         self.battery = battery
         self.ledger = ledger
-        self.pre_sample = pre_sample
         self.sample_interval = sample_interval or ms(1)
         self.level_signal = self.signal("level", battery.level)
-        self.soc_signal = self.signal("state_of_charge", battery.state_of_charge)
         self._last_total_j = ledger.total_j
-        self._last_sample_time = kernel.now
-        self._history: List[Tuple[SimTime, float]] = []
+        self._last_sample_fs = kernel.now_fs
+        self._history: List[Tuple[int, float]] = []
         # ``autonomous=False`` suppresses the sampling thread: an external
         # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
         # on the same schedule, halving the per-sample process activations.
@@ -62,32 +60,31 @@ class BatteryMonitor(Module):
     @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, state_of_charge)`` pairs."""
-        return list(self._history)
+        return [(SimTime(time_fs), value) for time_fs, value in self._history]
 
     def sample_now(self) -> BatteryLevel:
-        """Force an immediate sample (used by experiment runners at the end)."""
-        self._take_sample()
-        return self.battery.level
-
-    def _take_sample(self) -> None:
-        if self.pre_sample is not None:
-            # Let lazily-integrated consumers (PSM background power, fan) post
-            # their energy up to now, so the drain is smooth rather than lumpy.
-            self.pre_sample()
+        """Drain the battery by the energy posted since the last sample."""
+        battery = self.battery
         total = self.ledger.total_j
         delta = total - self._last_total_j
         self._last_total_j = total
-        elapsed = self.kernel.now - self._last_sample_time
-        self._last_sample_time = self.kernel.now
+        now_fs = self.kernel._now_fs
+        elapsed_fs = now_fs - self._last_sample_fs
+        self._last_sample_fs = now_fs
         if delta > 0.0:
             # Use the actual elapsed time to derive the discharge rate; when the
             # sample is forced with no time elapsed, fall back to nominal rate.
-            self.battery.draw_energy(delta, over=elapsed if not elapsed.is_zero else None)
-        self._history.append((self.kernel.now, self.battery.state_of_charge))
-        self.level_signal.write(self.battery.level)
-        self.soc_signal.write(self.battery.state_of_charge)
+            # A full window reuses the interval instead of building a SimTime.
+            over: Optional[SimTime] = self.sample_interval
+            if elapsed_fs != over:
+                over = SimTime(elapsed_fs) if elapsed_fs else None
+            battery.draw_energy(delta, over=over)
+        self._history.append((now_fs, battery.state_of_charge))
+        level = battery.level
+        self.level_signal.write(level)
+        return level
 
     def _sample_loop(self):
         while True:
             yield self.sample_interval
-            self._take_sample()
+            self.sample_now()

@@ -123,17 +123,15 @@ class SoC(Module):
         self.battery = Battery(config.battery)
         self.thermal = ThermalModel(config.thermal)
         # Both sensors sample on the same schedule, so the SoC drives them
-        # from one shared thread (monitor first, sensor second — the same
-        # order in which their autonomous loops would have been activated):
-        # one process activation per sample instead of two, with an
-        # observable behaviour identical to independent samplers.
+        # from one shared thread: one pass per window posts the lazily
+        # integrated books, then samples the monitor, then the sensor (the
+        # order in which their autonomous loops would have been activated).
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
             self.battery,
             self.ledger,
             sample_interval=config.sample_interval,
-            pre_sample=self.flush_power_books,
             autonomous=False,
             parent=self,
         )
@@ -143,7 +141,6 @@ class SoC(Module):
             self.thermal,
             self.ledger,
             sample_interval=config.sample_interval,
-            pre_sample=self.flush_power_books,
             autonomous=False,
             parent=self,
         )
@@ -230,12 +227,14 @@ class SoC(Module):
         return self.simulator.now
 
     def _shared_sample_loop(self):
-        """One periodic process sampling battery and temperature in order."""
+        """One periodic process: flush the books once, then sample both sensors."""
         interval = self.config.sample_interval
+        flush_books = self.flush_power_books
         monitor_sample = self.battery_monitor.sample_now
         sensor_sample = self.temperature_sensor.sample_now
         while True:
             yield interval
+            flush_books()
             monitor_sample()
             sensor_sample()
             if self._tracer is not None:

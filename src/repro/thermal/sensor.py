@@ -2,8 +2,9 @@
 
 Like the battery monitor, the sensor periodically converts the energy the SoC
 consumed since the previous sample into an average power, advances the
-lumped-RC thermal model by one step and publishes both the raw temperature
-and the quantised :class:`~repro.thermal.level.TemperatureLevel`.
+lumped-RC thermal model by one step and publishes the quantised
+:class:`~repro.thermal.level.TemperatureLevel`; the ledger is read as the
+SoC's sampler left it (see :mod:`repro.battery.monitor`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class TemperatureSensor(Module):
         model: ThermalModel,
         ledger: EnergyLedger,
         sample_interval: Optional[SimTime] = None,
-        pre_sample=None,
         autonomous: bool = True,
         parent: Optional[Module] = None,
     ) -> None:
@@ -40,12 +40,12 @@ class TemperatureSensor(Module):
             raise ThermalError("temperature sample interval must be positive")
         self.model = model
         self.ledger = ledger
-        self.pre_sample = pre_sample
         self.sample_interval = sample_interval or ms(1)
-        self.temperature_signal = self.signal("temperature_c", model.temperature_c)
+        # The interval in seconds, computed once exactly as SimTime.seconds.
+        self._interval_s = self.sample_interval.seconds
         self.level_signal = self.signal("level", model.level)
         self._last_total_j = ledger.total_j
-        self._history: List[Tuple[SimTime, float]] = []
+        self._history: List[Tuple[int, float]] = []
         # ``autonomous=False`` suppresses the sampling thread: an external
         # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
         # on the same schedule, halving the per-sample process activations.
@@ -59,34 +59,27 @@ class TemperatureSensor(Module):
 
     @property
     def temperature_c(self) -> float:
-        """Most recently published temperature."""
-        return self.temperature_signal.read()
+        """Temperature of the model after the most recent sample."""
+        return self.model.temperature_c
 
     @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, temperature_c)`` pairs."""
-        return list(self._history)
+        return [(SimTime(time_fs), value) for time_fs, value in self._history]
 
     def sample_now(self) -> TemperatureLevel:
-        """Force an immediate sample (used by experiment runners at the end)."""
-        self._take_sample()
-        return self.model.level
-
-    def _take_sample(self) -> None:
-        if self.pre_sample is not None:
-            # Let lazily-integrated consumers (PSM background power, fan) post
-            # their energy up to now, so the measured power is smooth.
-            self.pre_sample()
+        """Step the thermal model by one window at the power posted since the last sample."""
+        model = self.model
         total = self.ledger.total_j
         delta = max(0.0, total - self._last_total_j)
         self._last_total_j = total
-        power = delta / self.sample_interval.seconds
-        self.model.step(power, self.sample_interval)
-        self._history.append((self.kernel.now, self.model.temperature_c))
-        self.temperature_signal.write(self.model.temperature_c)
-        self.level_signal.write(self.model.level)
+        model.step(delta / self._interval_s, self.sample_interval)
+        self._history.append((self.kernel._now_fs, model.temperature_c))
+        level = model.level
+        self.level_signal.write(level)
+        return level
 
     def _sample_loop(self):
         while True:
             yield self.sample_interval
-            self._take_sample()
+            self.sample_now()

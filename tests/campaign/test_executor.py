@@ -285,6 +285,108 @@ class TestSharedBaselines:
         assert summary.baseline_runs == 2
 
 
+#: record keys that vary run to run (host timing, the pool worker)
+_VOLATILE_RECORD_KEYS = ("wall_clock_s", "worker_pid")
+
+
+def _deterministic(record):
+    """A stored record without the fields that vary run to run."""
+    kept = {k: v for k, v in record.items() if k not in _VOLATILE_RECORD_KEYS}
+    if "metrics" in kept:
+        kept["metrics"] = _stable_metrics(record)
+    return kept
+
+
+class TestCrashConsistency:
+    """A store damaged by a crash: resume redoes exactly the damaged work."""
+
+    @pytest.fixture
+    def clean(self, tmp_path):
+        spec = small_spec()
+        run_campaign(spec, tmp_path / "clean", workers=1)
+        return ResultStore(tmp_path / "clean")
+
+    @staticmethod
+    def completed(spec, tmp_path):
+        run_campaign(spec, tmp_path / "camp", workers=1)
+        return ResultStore(tmp_path / "camp")
+
+    @staticmethod
+    def resume(spec, store):
+        executed = []
+        summary = run_campaign(spec, store.root, workers=1, resume=True,
+                               progress=executed.append)
+        return summary, [record["job_id"] for record in executed]
+
+    @staticmethod
+    def assert_same_results(store, clean):
+        assert [_deterministic(r) for r in store.records()] == \
+            [_deterministic(r) for r in clean.records()]
+        assert store.baseline_keys() == clean.baseline_keys()
+        for key in clean.baseline_keys():
+            assert _deterministic(store.get_baseline(key)) == \
+                _deterministic(clean.get_baseline(key))
+
+    def test_truncated_record_reruns_only_its_job(self, tmp_path, clean):
+        spec = small_spec()
+        store = self.completed(spec, tmp_path)
+        victim = spec.jobs()[0].job_id
+        path = store.records_dir / f"{victim}.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert store.get(victim) is None
+        summary, executed = self.resume(spec, store)
+        assert executed == [victim]
+        assert (summary.executed, summary.skipped) == (1, 3)
+        # The job's baseline cell is intact, so it is read, not re-run.
+        assert (summary.baseline_runs, summary.baseline_reused) == (0, 1)
+        self.assert_same_results(store, clean)
+
+    def test_leftover_temp_file_is_ignored(self, tmp_path, clean):
+        spec = small_spec()
+        store = self.completed(spec, tmp_path)
+        victim = spec.jobs()[1].job_id
+        # A crash between writing the temp file and the rename: the record
+        # never landed and a half-written temp file stays behind.
+        path = store.records_dir / f"{victim}.json"
+        text = path.read_text(encoding="utf-8")
+        path.unlink()
+        stray = store.records_dir / f"{victim}.json.tmp424242"
+        stray.write_text(text[: len(text) // 3], encoding="utf-8")
+        assert len(store) == 3
+        assert victim not in store.job_ids()
+        assert campaign_status(store)["counts"]["missing"] == 1
+        summary, executed = self.resume(spec, store)
+        assert executed == [victim]
+        assert (summary.executed, summary.skipped, summary.baseline_runs) == (1, 3, 0)
+        assert stray.is_file()  # left alone, and never read as a record
+        assert len(store) == 4
+        assert campaign_status(store)["counts"]["missing"] == 0
+        self.assert_same_results(store, clean)
+
+    def test_corrupt_baseline_is_recomputed_when_a_job_needs_it(self, tmp_path, clean):
+        spec = small_spec()
+        store = self.completed(spec, tmp_path)
+        victim = spec.jobs()[0]
+        path = store.baselines_dir / f"{victim.baseline_key}.json"
+        path.write_text('{"status": "ok", "figu', encoding="utf-8")
+        assert store.get_baseline(victim.baseline_key) is None
+        # Every job record is intact, so nothing needs the baseline: the
+        # resume runs nothing and leaves the damaged cache file as it is.
+        summary, executed = self.resume(spec, store)
+        assert executed == []
+        assert (summary.executed, summary.baseline_runs, summary.baseline_reused) == (0, 0, 0)
+        assert store.get_baseline(victim.baseline_key) is None
+        # Once a job of that cell runs again, the baseline is recomputed
+        # (not read from the damaged file) and stored afresh.
+        (store.records_dir / f"{victim.job_id}.json").unlink()
+        summary, executed = self.resume(spec, store)
+        assert executed == [victim.job_id]
+        assert (summary.executed, summary.baseline_runs, summary.baseline_reused) == (1, 1, 0)
+        assert store.get_baseline(victim.baseline_key)["status"] == "ok"
+        self.assert_same_results(store, clean)
+
+
 class TestCampaignAccuracy:
     def test_accuracy_default_keeps_job_ids_stable(self):
         # Pre-accuracy job descriptions must hash identically, so existing
