@@ -22,9 +22,13 @@ grids (including *new scenarios*) can be defined without touching
 Scenario entries may be paper row names, registered platform names, inline
 ``single_ip``/``multi_ip`` dictionaries, or ``platform`` entries referencing
 a :class:`~repro.platform.spec.PlatformSpec` (inline under ``"spec"`` or via
-a ``"file"`` path).  Platform entries are normalized to the *canonical
-inline spec*, so their job hashes depend only on the platform's content —
-moving or reformatting the spec file does not invalidate stored results.
+a ``"file"`` path).  Every entry compiles to a ``PlatformSpec``:
+``single_ip``/``multi_ip`` entries through the builders that define the
+paper rows (:func:`~repro.platform.registry.single_ip_platform`,
+:func:`~repro.platform.registry.multi_ip_platform`).  Platform entries are
+normalized to the *canonical inline spec*, so their job hashes depend only
+on the platform's content — moving or reformatting the spec file does not
+invalidate stored results.
 
 :meth:`CampaignSpec.jobs` expands the grid into :class:`JobSpec` objects.
 Every job is a *pure data* description (plain dictionaries), picklable for
@@ -42,12 +46,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.dpm.controller import DpmSetup
-from repro.errors import CampaignError
-from repro.experiments.scenarios import (
-    Scenario,
-    multi_ip_scenario,
-    single_ip_scenario,
-)
+from repro.errors import CampaignError, PlatformError
+from repro.experiments.scenarios import Scenario
+from repro.platform.registry import multi_ip_platform, single_ip_platform
+from repro.platform.spec import PlatformSpec
 from repro.sim.simtime import ms
 
 __all__ = [
@@ -119,12 +121,23 @@ def normalize_scenario(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
 
     Accepts one of the paper's row names (``"A1"`` .. ``"C"``), the name of
     any registered platform, or a dictionary with a ``kind`` of
-    ``"single_ip"`` / ``"multi_ip"`` / ``"platform"``.  Platform entries
+    ``"single_ip"`` / ``"multi_ip"`` / ``"paper"`` / ``"platform"``.
+    ``single_ip``/``multi_ip`` entries are compiled to their platform spec
+    once here, so an unknown condition word or IP index fails at load time;
+    the returned dictionary is still the entry itself.  Platform entries
     reference a spec file (``"file"``) or carry the spec inline (``"spec"``);
     either way the normalized form inlines the *canonical* spec dictionary,
     so the job hash depends on the platform's content, never on file paths
     or formatting.
     """
+    scenario = _normalize_entry(value)
+    if scenario["kind"] != "platform":
+        _grid_scenario(scenario)
+    return scenario
+
+
+def _normalize_entry(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
+    """:func:`normalize_scenario` without the compile of grid entries."""
     if isinstance(value, str):
         if value.upper() in PAPER_SCENARIO_DEFS:
             return dict(PAPER_SCENARIO_DEFS[value.upper()])
@@ -145,7 +158,13 @@ def normalize_scenario(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     if kind == "platform":
         return _normalize_platform_scenario(scenario)
     if kind == "paper":
-        merged = normalize_scenario(str(scenario.get("name", "")))
+        name = str(scenario.get("name", ""))
+        if name.upper() not in PAPER_SCENARIO_DEFS:
+            raise CampaignError(
+                f"scenario {name!r} of kind 'paper' is not a paper row "
+                f"(expected one of {', '.join(PAPER_SCENARIO_DEFS)})"
+            )
+        merged = _normalize_entry(name)
         for key, item in scenario.items():
             if key not in ("kind",):
                 merged[key] = item
@@ -171,6 +190,40 @@ def normalize_scenario(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     return scenario
 
 
+def _grid_scenario(description: Mapping[str, Any], seed: Optional[int] = None) -> Scenario:
+    """Compile a normalised ``single_ip``/``multi_ip`` entry into a scenario.
+
+    A grid ``seed`` replaces the entry's own workload seed the way the
+    paper rows use one: the single IP draws with ``seed``, IP ``i`` of a
+    multi-IP entry with ``seed + i``.  Condition words are matched
+    case-insensitively.
+    """
+    from repro.platform.build import to_scenario
+
+    name = description["name"]
+    single = description["kind"] == "single_ip"
+    options: Dict[str, Any] = {}
+    if "task_count" in description:
+        options["task_count"] = description["task_count"]
+    own_seed = description.get("workload_seed" if single else "seed")
+    if seed is not None or own_seed is not None:
+        options["seed"] = seed if seed is not None else own_seed
+    battery = str(description["battery"]).lower()
+    temperature = str(description["temperature"]).lower()
+    try:
+        if single:
+            spec = single_ip_platform(name, battery, temperature, **options)
+        else:
+            spec = multi_ip_platform(
+                name, battery, temperature, description["high_activity_ips"], **options
+            )
+        if "max_time_ms" in description:
+            spec.max_time_ms = float(description["max_time_ms"])
+        return to_scenario(spec)
+    except PlatformError as error:
+        raise CampaignError(f"scenario {name!r}: {error}") from None
+
+
 def _anchor_platform_file(entry: Any, base_dir: str) -> Any:
     """Resolve a platform entry's relative ``file`` against ``base_dir``."""
     if (
@@ -187,9 +240,6 @@ def _anchor_platform_file(entry: Any, base_dir: str) -> Any:
 
 def _normalize_platform_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and canonicalise a ``kind: "platform"`` scenario entry."""
-    from repro.errors import PlatformError
-    from repro.platform.spec import PlatformSpec
-
     unknown = set(scenario) - {"kind", "name", "spec", "file", "max_time_ms"}
     if unknown:
         raise CampaignError(
@@ -220,43 +270,17 @@ def _normalize_platform_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def build_scenario(scenario: Mapping[str, Any], seed: Optional[int] = None) -> Scenario:
-    """Instantiate a :class:`Scenario` from its declarative description.
+    """Compile a scenario entry into a runnable :class:`Scenario`.
 
     ``seed``, when given, replaces the workload seed of the description so a
     campaign can sweep seeds without editing the scenario entry.
     """
-    from repro.analysis.report import PAPER_TABLE2
+    description = _normalize_entry(scenario)
+    if description["kind"] != "platform":
+        return _grid_scenario(description, seed)
+    from repro.platform.build import to_scenario
 
-    description = normalize_scenario(scenario)
-    kind = description["kind"]
-    if kind == "platform":
-        from repro.platform.build import to_scenario
-        from repro.platform.spec import PlatformSpec
-
-        return to_scenario(PlatformSpec.from_dict(description["spec"]), seed=seed)
-    paper_row = PAPER_TABLE2.get(description["name"])
-    if kind == "single_ip":
-        built = single_ip_scenario(
-            name=description["name"],
-            battery=description["battery"],
-            temperature=description["temperature"],
-            workload_seed=seed if seed is not None else description.get("workload_seed", 11),
-            task_count=description.get("task_count", 40),
-            paper_row=paper_row,
-        )
-    else:
-        built = multi_ip_scenario(
-            name=description["name"],
-            battery=description["battery"],
-            temperature=description["temperature"],
-            high_activity_ips=tuple(description["high_activity_ips"]),
-            seed=seed if seed is not None else description.get("seed", 21),
-            task_count=description.get("task_count", 24),
-            paper_row=paper_row,
-        )
-    if "max_time_ms" in description:
-        built.max_time = ms(float(description["max_time_ms"]))
-    return built
+    return to_scenario(PlatformSpec.from_dict(description["spec"]), seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -513,7 +537,6 @@ class CampaignSpec:
         the platform specs it sweeps can travel together regardless of the
         process working directory.
         """
-        from repro.errors import PlatformError
         from repro.platform.serialize import load_spec_dict
 
         try:

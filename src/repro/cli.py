@@ -381,8 +381,8 @@ def _cmd_scenario(args) -> int:
     from repro.experiments.scenarios import scenario_by_name
 
     scenario = scenario_by_name(args.name)
-    # None defers to the platform's own policy (when the scenario is
-    # platform-backed and declares one), exactly like `platform run`.
+    # None defers to the platform's own policy (when it declares one),
+    # exactly like `platform run`.
     setup = None if args.setup is None else _SETUPS[args.setup]()
     request = _trace_request(args, scenario)
     metrics = run_comparison(
@@ -399,16 +399,14 @@ def _trace_request(args, scenario):
     """The effective trace request of one CLI run (None when untraced).
 
     Explicit ``--trace``/``--trace-format`` flags win; without them the
-    platform spec's ``trace:`` section applies (when the scenario came
-    from one).
+    platform spec's ``trace:`` section applies.
     """
     from repro.obs import TraceRequest
 
     fmt = getattr(args, "trace_format", None) or getattr(args, "trace", None)
     if fmt is not None:
         return TraceRequest(format=fmt, path=getattr(args, "trace_out", None))
-    spec = getattr(scenario, "spec", None)
-    request = TraceRequest.from_trace_def(getattr(spec, "trace", None))
+    request = TraceRequest.from_trace_def(scenario.spec.trace)
     out = getattr(args, "trace_out", None)
     if request is not None and out is not None:
         request = TraceRequest(format=request.format, path=out,
@@ -417,10 +415,8 @@ def _trace_request(args, scenario):
 
 
 def _default_setup_name(scenario) -> str:
-    spec = getattr(scenario, "spec", None)
-    if spec is not None and spec.policy is not None:
-        return spec.policy.name
-    return "paper"
+    policy = scenario.spec.policy
+    return "paper" if policy is None else policy.name
 
 
 def _print_comparison(scenario, setup_name: str, metrics) -> None:

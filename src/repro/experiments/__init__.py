@@ -22,11 +22,9 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import (
     Scenario,
     battery_condition,
-    multi_ip_scenario,
     paper_scenarios,
     scenario_a_workload,
     scenario_by_name,
-    single_ip_scenario,
     thermal_condition,
 )
 from repro.experiments.sweep import condition_sweep, policy_ablation, predictor_ablation
@@ -50,7 +48,6 @@ __all__ = [
     "crosscheck_paper_platforms",
     "crosscheck_scenario",
     "decision_contexts",
-    "multi_ip_scenario",
     "paper_scenarios",
     "policy_ablation",
     "predictor_ablation",
@@ -63,7 +60,6 @@ __all__ = [
     "scenario_by_name",
     "simulation_speed",
     "simulation_speed_report",
-    "single_ip_scenario",
     "table2_report",
     "thermal_condition",
 ]

@@ -8,10 +8,9 @@ never sleep) — and reduces the two runs to the Table-2 metrics.
 
 Every runner accepts, in place of a :class:`Scenario`, a
 :class:`~repro.platform.spec.PlatformSpec` (built on the fly) or a scenario
-name (resolved through the named platform registry).  For platform-backed
-scenarios a ``None`` setup defers to the spec's own
-:class:`~repro.platform.spec.PolicyDef` (when present) and the spec's GEM
-tunables are applied to whichever setup runs.
+name (resolved through the named platform registry).  A ``None`` setup
+defers to the spec's own :class:`~repro.platform.spec.PolicyDef` (when
+present) and the spec's GEM tunables are applied to whichever setup runs.
 """
 
 from __future__ import annotations
@@ -189,9 +188,8 @@ def _resolve_trace_request(scenario: Scenario, trace):
     if trace is False:
         return None
     if trace is None:
-        spec = getattr(scenario, "spec", None)
-        trace_def = getattr(spec, "trace", None)
-        if trace_def is None or not trace_def.enabled:
+        trace_def = scenario.spec.trace
+        if not trace_def.enabled:
             # The common case: repro.obs stays entirely unimported.
             return None
         from repro.obs.session import TraceRequest
@@ -214,8 +212,7 @@ def run_scenario(
     """Build and simulate ``scenario`` once under ``setup`` (default: paper DPM).
 
     ``trace`` controls event tracing: ``None`` (default) follows the
-    platform spec's ``trace:`` section when the scenario came from one,
-    ``False`` forces tracing off, and a
+    platform spec's ``trace:`` section, ``False`` forces tracing off, and a
     :class:`~repro.obs.session.TraceRequest` traces the run explicitly.
     """
     from repro.platform.build import platform_setup

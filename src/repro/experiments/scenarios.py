@@ -15,67 +15,94 @@ B     Low      Low          IP1/IP2 high activity, IP3/IP4 low activity
 C     Low      Low          IP1/IP2 low activity, IP3/IP4 high activity
 ====  =======  ===========  ==========================================
 
-Scenario objects only *describe* the experiment (factories for the IP specs
-and the SoC configuration); the :mod:`repro.experiments.runner` builds and
-simulates them, once with the paper's DPM and once with the always-on
-baseline, to produce one row of Table 2.
+A :class:`Scenario` is one runnable experiment: a validated
+:class:`~repro.platform.spec.PlatformSpec` plus an optional grid seed, made
+by :func:`repro.platform.build.to_scenario`.  The
+:mod:`repro.experiments.runner` builds and simulates it, once with the
+paper's DPM and once with the always-on baseline, to produce one row of
+Table 2.
 
-The catalogue itself now lives in the named platform registry
-(:mod:`repro.platform.registry`): the six rows are thin declarative
-:class:`~repro.platform.spec.PlatformSpec` objects, and
+The six rows live in the named platform registry
+(:mod:`repro.platform.registry`) as thin specs made by
+:func:`~repro.platform.registry.single_ip_platform` and
+:func:`~repro.platform.registry.multi_ip_platform`, and
 :func:`scenario_by_name` resolves any registered platform — paper row or
-user-defined — by name.  The legacy factory helpers below
-(:func:`single_ip_scenario`, :func:`multi_ip_scenario`) remain for callers
-that build scenarios programmatically.
+user-defined — by name.  This module keeps the presets the specs name
+(:func:`battery_condition`, :func:`thermal_condition`) and the common task
+sequence of rows A1–A4 (:func:`scenario_a_workload`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.battery.model import BatteryConfig
 from repro.errors import ExperimentError
-from repro.sim.simtime import SimTime, sec
+from repro.sim.simtime import SimTime, ms
 from repro.soc.soc import IpSpec, SocConfig
-from repro.soc.workload import (
-    Workload,
-    high_activity_workload,
-    low_activity_workload,
-    random_workload,
-)
+from repro.soc.workload import Workload, high_activity_workload, low_activity_workload
 from repro.thermal.model import ThermalConfig
+
+if TYPE_CHECKING:
+    from repro.platform.spec import PlatformSpec
 
 __all__ = [
     "Scenario",
     "battery_condition",
     "thermal_condition",
     "scenario_a_workload",
-    "single_ip_scenario",
-    "multi_ip_scenario",
     "paper_scenarios",
     "scenario_by_name",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Declarative description of one experiment."""
+    """One runnable experiment: a validated platform spec and a grid seed.
 
-    name: str
-    description: str
-    ip_specs_factory: Callable[[], List[IpSpec]]
-    soc_config_factory: Callable[[], SocConfig]
-    max_time: SimTime = field(default_factory=lambda: sec(5))
-    paper_row: Optional[Dict[str, float]] = None
+    Made by :func:`repro.platform.build.to_scenario`, which validates the
+    spec.  ``seed``, when set, re-seeds the IP at position ``index`` with
+    ``seed + index`` (explicit workloads are untouched).  Everything else
+    is derived from the spec.
+    """
+
+    spec: PlatformSpec
+    seed: Optional[int] = None
+
+    @property
+    def name(self) -> str:
+        """The platform's name."""
+        return self.spec.name
+
+    @property
+    def description(self) -> str:
+        """The spec's description, or a one-line summary of the platform."""
+        spec = self.spec
+        return spec.description or (
+            f"platform {spec.name!r} ({len(spec.ips)} IPs"
+            f"{', GEM' if spec.gem.enabled else ''})"
+        )
+
+    @property
+    def max_time(self) -> SimTime:
+        """Simulated-time budget of one run."""
+        return ms(self.spec.max_time_ms)
 
     def build_specs(self) -> List[IpSpec]:
         """Fresh IP specifications for one run."""
-        return self.ip_specs_factory()
+        from repro.platform.build import build_ip_spec
+
+        return [
+            build_ip_spec(ipdef, index, self.seed)
+            for index, ipdef in enumerate(self.spec.ips)
+        ]
 
     def build_config(self) -> SocConfig:
         """Fresh SoC configuration for one run."""
-        return self.soc_config_factory()
+        from repro.platform.build import build_soc_config
+
+        return build_soc_config(self.spec)
 
 
 def battery_condition(level: str) -> BatteryConfig:
@@ -143,103 +170,12 @@ def scenario_a_workload(seed: int = 11, task_count: int = 40) -> Workload:
     return Workload(items=list(busy.items) + list(idle_heavy.items), name="scenario-A")
 
 
-def single_ip_scenario(
-    name: str,
-    battery: str,
-    temperature: str,
-    description: str = "",
-    paper_row: Optional[Dict[str, float]] = None,
-    workload_seed: int = 11,
-    task_count: int = 40,
-) -> Scenario:
-    """One of the A scenarios: a single IP, PSM and LEM (no GEM)."""
-
-    def specs() -> List[IpSpec]:
-        return [
-            IpSpec(
-                name="ip1",
-                workload=scenario_a_workload(seed=workload_seed, task_count=task_count),
-                static_priority=1,
-            )
-        ]
-
-    def config() -> SocConfig:
-        return SocConfig(
-            name=f"soc_{name}",
-            battery=battery_condition(battery),
-            thermal=thermal_condition(temperature, ip_count=1),
-            use_gem=False,
-        )
-
-    return Scenario(
-        name=name,
-        description=description or f"single IP, battery {battery}, temperature {temperature}",
-        ip_specs_factory=specs,
-        soc_config_factory=config,
-        max_time=sec(5),
-        paper_row=paper_row,
-    )
-
-
-def multi_ip_scenario(
-    name: str,
-    battery: str,
-    temperature: str,
-    high_activity_ips: Sequence[int],
-    description: str = "",
-    paper_row: Optional[Dict[str, float]] = None,
-    task_count: int = 24,
-    seed: int = 21,
-) -> Scenario:
-    """One of the B/C scenarios: a GEM plus four IPs with static priorities 1-4.
-
-    ``high_activity_ips`` lists the 1-based IP indices that receive the
-    high-activity sequence; the others receive the low-activity sequence.
-    """
-    if not high_activity_ips:
-        raise ExperimentError("at least one IP must have high activity")
-
-    def specs() -> List[IpSpec]:
-        result = []
-        for index in range(1, 5):
-            if index in high_activity_ips:
-                workload = high_activity_workload(
-                    task_count=task_count, seed=seed + index, name=f"ip{index}-busy"
-                )
-            else:
-                workload = low_activity_workload(
-                    task_count=task_count, seed=seed + index, name=f"ip{index}-idle"
-                )
-            result.append(IpSpec(name=f"ip{index}", workload=workload, static_priority=index))
-        return result
-
-    def config() -> SocConfig:
-        return SocConfig(
-            name=f"soc_{name}",
-            battery=battery_condition(battery),
-            thermal=thermal_condition(temperature, ip_count=4),
-            use_gem=True,
-        )
-
-    return Scenario(
-        name=name,
-        description=description
-        or f"GEM + 4 IPs, battery {battery}, temperature {temperature}, "
-        f"high activity on IPs {sorted(high_activity_ips)}",
-        ip_specs_factory=specs,
-        soc_config_factory=config,
-        max_time=sec(5),
-        paper_row=paper_row,
-    )
-
-
 def paper_scenarios() -> List[Scenario]:
     """The six scenarios of the paper's Table 2, in order.
 
-    Since the :mod:`repro.platform` migration these are built from the thin
-    built-in :class:`~repro.platform.spec.PlatformSpec` objects of the named
-    platform registry; the goldens of ``tests/golden/`` pin that this path
-    is bit-identical to the original hardcoded factories.
+    They are built from the thin built-in
+    :class:`~repro.platform.spec.PlatformSpec` objects of the named platform
+    registry; the goldens of ``tests/golden/`` pin their results.
     """
     from repro.platform.build import to_scenario
     from repro.platform.registry import paper_platforms

@@ -11,9 +11,10 @@ This layer makes the *platform itself* a first-class, serializable object:
 * :mod:`repro.platform.build` — the bridge to runnable objects
   (:func:`to_scenario` and the per-section builders);
 * :mod:`repro.platform.builder` — the fluent :class:`PlatformBuilder`;
-* :mod:`repro.platform.registry` — named platforms; the six paper rows are
-  registered as thin built-in specs that reproduce the pinned goldens
-  bit-identically.
+* :mod:`repro.platform.registry` — named platforms and the paper's two
+  platform shapes (:func:`single_ip_platform`, :func:`multi_ip_platform`);
+  the six paper rows are registered as thin built-in specs that reproduce
+  the pinned goldens bit-identically.
 
 After this layer, a new scenario is a file::
 
@@ -21,7 +22,6 @@ After this layer, a new scenario is a file::
 """
 
 from repro.platform.build import (
-    PlatformScenario,
     build_dpm_setup,
     build_ip_spec,
     build_soc_config,
@@ -33,10 +33,12 @@ from repro.platform.builder import PlatformBuilder
 from repro.platform.registry import (
     PAPER_PLATFORM_NAMES,
     has_platform,
+    multi_ip_platform,
     paper_platforms,
     platform_by_name,
     platform_names,
     register_platform,
+    single_ip_platform,
     unregister_platform,
 )
 from repro.platform.serialize import (
@@ -89,7 +91,6 @@ __all__ = [
     "IpDef",
     "OperatingPointDef",
     "PlatformBuilder",
-    "PlatformScenario",
     "PlatformSpec",
     "PolicyDef",
     "PsmDef",
@@ -107,6 +108,7 @@ __all__ = [
     "library_platforms",
     "load_platform",
     "load_spec_dict",
+    "multi_ip_platform",
     "paper_platforms",
     "phone_bursty",
     "platform_by_name",
@@ -117,6 +119,7 @@ __all__ = [
     "render_spec_diff",
     "save_platform",
     "server_diurnal",
+    "single_ip_platform",
     "sustained_throttled",
     "spec_from_json",
     "spec_from_toml",

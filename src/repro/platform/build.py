@@ -3,15 +3,16 @@
 The spec tree is pure data; this module turns it into the library's value
 objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
 :class:`~repro.power.model.PowerModel`,
-:class:`~repro.dpm.controller.DpmSetup`) and finally into a
-:class:`PlatformScenario` — a :class:`~repro.experiments.scenarios.Scenario`
-that remembers its spec, so the runners can honour the platform's policy and
-GEM tunables.
+:class:`~repro.dpm.controller.DpmSetup`) and, through :func:`to_scenario`,
+into the :class:`~repro.experiments.scenarios.Scenario` the runners take:
+the spec plus an optional grid seed.  The runners read the spec's policy,
+GEM tunables and trace section from ``scenario.spec``.
 
-Migration contract: a spec that leaves every optional knob unset builds the
-exact same objects the legacy scenario factories built — that is what lets
-the six paper scenarios become thin built-in specs (see
-:mod:`repro.platform.registry`) while the pinned goldens stay bit-identical.
+A spec that leaves every optional knob unset builds the library's default
+objects (the shared default power model, the paper's DPM setup), which is
+how the six paper rows stay thin built-in specs (see
+:mod:`repro.platform.registry`) while the pinned goldens stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.battery.model import BatteryConfig
@@ -71,7 +71,6 @@ from repro.soc.workload import (
 from repro.thermal.model import ThermalConfig
 
 __all__ = [
-    "PlatformScenario",
     "build_battery_config",
     "build_characterization",
     "build_dpm_setup",
@@ -452,67 +451,24 @@ def platform_setup(
 ) -> DpmSetup:
     """Resolve the setup for one run of ``scenario``.
 
-    For a :class:`PlatformScenario`, ``None`` resolves to the platform's own
-    :class:`PolicyDef` (when ``use_policy`` and the spec has one) before the
-    ``default`` factory, and the spec's GEM tunables are applied to whatever
-    setup ends up running; plain scenarios just get the default.
+    ``None`` resolves to the spec's own :class:`PolicyDef` (when
+    ``use_policy`` and the spec has one), else to the ``default`` factory;
+    the spec's GEM tunables are then applied to whatever setup runs.
     """
-    spec = getattr(scenario, "spec", None)
+    spec = scenario.spec
     if setup is None:
-        if use_policy and spec is not None and spec.policy is not None:
+        if use_policy and spec.policy is not None:
             setup = build_dpm_setup(spec.policy)
         else:
             setup = default()
-    if spec is not None:
-        setup = _apply_gem_overrides(spec, setup)
-    return setup
+    return _apply_gem_overrides(spec, setup)
 
 
-# ----------------------------------------------------------------------
-# The scenario bridge
-# ----------------------------------------------------------------------
-@dataclass
-class PlatformScenario(Scenario):
-    """A scenario built from a spec; remembers it for policy/GEM resolution."""
-
-    spec: Optional[PlatformSpec] = None
-
-
-def to_scenario(spec: PlatformSpec, seed: Optional[int] = None) -> PlatformScenario:
+def to_scenario(spec: PlatformSpec, seed: Optional[int] = None) -> Scenario:
     """Turn a validated spec into a runnable scenario.
 
     ``seed``, when given, re-seeds every generator workload with
     ``seed + ip_index`` (explicit workloads are untouched) — the hook
     campaign grids use to sweep seeds over platform files.
     """
-    spec.validate()
-    return PlatformScenario(
-        name=spec.name,
-        description=spec.description
-        or f"platform {spec.name!r} ({len(spec.ips)} IPs"
-        f"{', GEM' if spec.gem.enabled else ''})",
-        ip_specs_factory=lambda: [
-            build_ip_spec(ipdef, index, seed) for index, ipdef in enumerate(spec.ips)
-        ],
-        soc_config_factory=lambda: build_soc_config(spec),
-        max_time=ms(spec.max_time_ms),
-        paper_row=_paper_row_for(spec),
-        spec=spec,
-    )
-
-
-def _paper_row_for(spec: PlatformSpec):
-    """The paper's Table-2 reference row, but only for the genuine article.
-
-    A user spec that merely *names itself* "A1" (loaded from a file, never
-    registered) must not inherit the paper's printed figures as its
-    reference — only a spec equal to the built-in platform does.
-    """
-    from repro.platform.registry import PAPER_PLATFORM_NAMES, is_registered
-
-    name = spec.name.upper()
-    if name not in PAPER_PLATFORM_NAMES or not is_registered(spec):
-        return None
-    from repro.analysis.report import PAPER_TABLE2
-
-    return PAPER_TABLE2.get(name)
+    return Scenario(spec.validate(), seed)

@@ -2,10 +2,11 @@
 
 Maps case-insensitive names to :class:`~repro.platform.spec.PlatformSpec`
 objects.  The six paper scenarios (A1–A4, B, C) are registered as thin
-built-in specs at import time — they are the proof that the declarative
-format subsumes the hardcoded catalogue: the pinned goldens of
-``tests/golden/scenario_metrics.json`` are reproduced bit-identically
-through this path.
+built-in specs at import time, made by the paper's two platform shapes
+:func:`single_ip_platform` and :func:`multi_ip_platform`; campaign grid
+entries of kind ``single_ip``/``multi_ip`` compile through the same two
+functions.  The pinned goldens of ``tests/golden/scenario_metrics.json``
+are reproduced bit-identically through this path.
 
 User platforms are added with :func:`register_platform` (or
 :meth:`~repro.platform.builder.PlatformBuilder.register`); every consumer of
@@ -32,11 +33,12 @@ from repro.platform.spec import (
 __all__ = [
     "PAPER_PLATFORM_NAMES",
     "has_platform",
-    "is_registered",
+    "multi_ip_platform",
     "paper_platforms",
     "platform_by_name",
     "platform_names",
     "register_platform",
+    "single_ip_platform",
     "unregister_platform",
 ]
 
@@ -87,16 +89,6 @@ def has_platform(name: str) -> bool:
     return name.lower() in _REGISTRY
 
 
-def is_registered(spec: PlatformSpec) -> bool:
-    """True when ``spec`` equals the platform registered under its name.
-
-    Compares against the registered spec in place: unlike
-    :func:`platform_by_name` it makes no copy, because it hands nothing out.
-    """
-    registered = _REGISTRY.get(spec.name.lower())
-    return registered is not None and registered == spec
-
-
 def platform_by_name(name: str) -> PlatformSpec:
     """A deep copy of the registered platform (callers may mutate freely)."""
     try:
@@ -124,16 +116,25 @@ def paper_platforms() -> List[PlatformSpec]:
 
 
 # ----------------------------------------------------------------------
-# The six paper rows as thin built-in specs
+# The paper's two platform shapes, and its six rows as built-in specs
 # ----------------------------------------------------------------------
-def _single_ip_platform(name: str, battery: str, temperature: str) -> PlatformSpec:
+def single_ip_platform(
+    name: str, battery: str, temperature: str, task_count: int = 40, seed: int = 11
+) -> PlatformSpec:
+    """A single-IP platform like rows A1-A4: one IP, its PSM and LEM, no GEM.
+
+    The IP runs the ``scenario_a`` sequence of ``task_count`` tasks drawn
+    with ``seed``; ``battery`` and ``temperature`` name the presets of
+    :data:`~repro.platform.spec.BATTERY_CONDITIONS` and
+    :data:`~repro.platform.spec.THERMAL_CONDITIONS`.
+    """
     return PlatformSpec(
         name=name,
         description=f"single IP, battery {battery}, temperature {temperature}",
         ips=[
             IpDef(
                 name="ip1",
-                workload=WorkloadDef(kind="scenario_a", seed=11, task_count=40),
+                workload=WorkloadDef(kind="scenario_a", seed=seed, task_count=task_count),
                 static_priority=1,
             )
         ],
@@ -143,19 +144,35 @@ def _single_ip_platform(name: str, battery: str, temperature: str) -> PlatformSp
     )
 
 
-def _multi_ip_platform(
-    name: str, battery: str, temperature: str, high_activity_ips: Sequence[int]
+def multi_ip_platform(
+    name: str,
+    battery: str,
+    temperature: str,
+    high_activity_ips: Sequence[int],
+    task_count: int = 24,
+    seed: int = 21,
 ) -> PlatformSpec:
+    """A four-IP platform with a GEM like rows B and C.
+
+    IP ``i`` (1-based) has static priority ``i`` and runs ``task_count``
+    tasks drawn with ``seed + i``: the high-activity sequence when ``i`` is
+    in ``high_activity_ips``, the low-activity one otherwise.
+    """
+    if not high_activity_ips or any(index not in range(1, 5) for index in high_activity_ips):
+        raise PlatformError(
+            f"platform {name!r}: high_activity_ips must name at least one of "
+            f"the IPs 1..4, got {list(high_activity_ips)!r}"
+        )
     ips = []
     for index in range(1, 5):
         if index in high_activity_ips:
             workload = WorkloadDef(
-                kind="high_activity", task_count=24, seed=21 + index,
+                kind="high_activity", task_count=task_count, seed=seed + index,
                 name=f"ip{index}-busy",
             )
         else:
             workload = WorkloadDef(
-                kind="low_activity", task_count=24, seed=21 + index,
+                kind="low_activity", task_count=task_count, seed=seed + index,
                 name=f"ip{index}-idle",
             )
         ips.append(IpDef(name=f"ip{index}", workload=workload, static_priority=index))
@@ -174,12 +191,12 @@ def _multi_ip_platform(
 
 def _register_builtins() -> None:
     for spec in (
-        _single_ip_platform("A1", "full", "low"),
-        _single_ip_platform("A2", "low", "low"),
-        _single_ip_platform("A3", "full", "high"),
-        _single_ip_platform("A4", "low", "high"),
-        _multi_ip_platform("B", "low", "low", high_activity_ips=(1, 2)),
-        _multi_ip_platform("C", "low", "low", high_activity_ips=(3, 4)),
+        single_ip_platform("A1", "full", "low"),
+        single_ip_platform("A2", "low", "low"),
+        single_ip_platform("A3", "full", "high"),
+        single_ip_platform("A4", "low", "high"),
+        multi_ip_platform("B", "low", "low", high_activity_ips=(1, 2)),
+        multi_ip_platform("C", "low", "low", high_activity_ips=(3, 4)),
     ):
         _REGISTRY[spec.name.lower()] = spec.validate()
 

@@ -51,6 +51,42 @@ class TestNormalizeScenario:
         assert first == second
 
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"kind": "single_ip", "name": "x", "battery": "lowish",
+          "temperature": "low"}, "battery condition 'lowish'"),
+        ({"kind": "multi_ip", "name": "m", "battery": "low",
+          "temperature": "tepid", "high_activity_ips": [1]}, "thermal condition 'tepid'"),
+        ({"kind": "multi_ip", "name": "m", "battery": "low",
+          "temperature": "low", "high_activity_ips": [7]}, "IPs 1..4"),
+        ({"kind": "multi_ip", "name": "m", "battery": "low",
+          "temperature": "low", "high_activity_ips": []}, "IPs 1..4"),
+    ])
+    def test_invalid_grid_entries_fail_at_load(self, entry, message):
+        with pytest.raises(CampaignError, match=message):
+            CampaignSpec.from_dict({"name": "g", "scenarios": [entry]})
+
+    def test_condition_words_are_case_insensitive_and_kept_as_written(self):
+        entry = {"kind": "single_ip", "name": "x", "battery": "FULL",
+                 "temperature": "Low", "task_count": 6}
+        assert normalize_scenario(entry) == entry
+        lower = dict(entry, battery="full", temperature="low")
+        built, reference = build_scenario(entry), build_scenario(lower)
+        assert built.build_config() == reference.build_config()
+        assert built.build_specs()[0].workload.as_dicts() == \
+            reference.build_specs()[0].workload.as_dicts()
+
+    def test_paper_kind_names_a_paper_row(self):
+        scenario = normalize_scenario({"kind": "paper", "name": "B", "task_count": 8})
+        assert scenario["kind"] == "multi_ip"
+        assert scenario["task_count"] == 8
+        with pytest.raises(CampaignError) as error:
+            normalize_scenario({"kind": "paper", "name": "phone-bursty"})
+        assert str(error.value) == (
+            "scenario 'phone-bursty' of kind 'paper' is not a paper row "
+            "(expected one of A1, A2, A3, A4, B, C)"
+        )
+
+
 class TestBuildScenario:
     def test_paper_scenario_matches_catalogue(self):
         built = build_scenario(normalize_scenario("A1"))
@@ -65,6 +101,17 @@ class TestBuildScenario:
         reseeded = build_scenario(description, seed=99)
         assert default.build_specs()[0].workload.as_dicts() != \
             reseeded.build_specs()[0].workload.as_dicts()
+
+    def test_grid_seed_reseeds_ip_i_with_seed_plus_i(self):
+        from repro.soc.workload import high_activity_workload, low_activity_workload
+
+        specs = build_scenario(normalize_scenario("B"), seed=5).build_specs()
+        for index, ip in enumerate(specs, start=1):
+            if index in (1, 2):
+                expected = high_activity_workload(24, seed=5 + index, name=f"ip{index}-busy")
+            else:
+                expected = low_activity_workload(24, seed=5 + index, name=f"ip{index}-idle")
+            assert ip.workload.as_dicts() == expected.as_dicts()
 
     def test_custom_scenario_without_touching_the_catalogue(self):
         built = build_scenario(

@@ -4,19 +4,18 @@ import pytest
 
 from repro.battery import BatteryLevel
 from repro.dpm import DpmSetup
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, PlatformError
 from repro.experiments import (
     battery_condition,
-    multi_ip_scenario,
     paper_scenarios,
     run_comparison,
     run_scenario,
     scenario_a_workload,
     scenario_by_name,
-    single_ip_scenario,
     thermal_condition,
 )
 from repro.experiments.table2 import simulation_speed_report, table2_report
+from repro.platform import multi_ip_platform, single_ip_platform, to_scenario
 from repro.thermal import TemperatureLevel
 
 
@@ -65,14 +64,14 @@ class TestScenarioCatalogue:
             scenario_a_workload(task_count=1)
 
     def test_single_ip_scenario_structure(self):
-        scenario = single_ip_scenario("X", "full", "low")
+        scenario = to_scenario(single_ip_platform("X", "full", "low"))
         specs = scenario.build_specs()
         assert len(specs) == 1
         config = scenario.build_config()
         assert not config.use_gem
 
     def test_multi_ip_scenario_structure(self):
-        scenario = multi_ip_scenario("Y", "low", "low", high_activity_ips=(1, 2))
+        scenario = to_scenario(multi_ip_platform("Y", "low", "low", high_activity_ips=(1, 2)))
         specs = scenario.build_specs()
         assert len(specs) == 4
         assert [spec.static_priority for spec in specs] == [1, 2, 3, 4]
@@ -81,11 +80,13 @@ class TestScenarioCatalogue:
         busy1 = specs[0].workload.busy_fraction(200e6)
         busy3 = specs[2].workload.busy_fraction(200e6)
         assert busy1 > busy3
-        with pytest.raises(ExperimentError):
-            multi_ip_scenario("Z", "low", "low", high_activity_ips=())
+        with pytest.raises(PlatformError):
+            multi_ip_platform("Z", "low", "low", high_activity_ips=())
+        with pytest.raises(PlatformError):
+            multi_ip_platform("Z", "low", "low", high_activity_ips=(7,))
 
     def test_scenario_factories_produce_fresh_objects(self):
-        scenario = single_ip_scenario("X", "full", "low")
+        scenario = to_scenario(single_ip_platform("X", "full", "low"))
         assert scenario.build_specs()[0] is not scenario.build_specs()[0]
         assert scenario.build_config() is not scenario.build_config()
 
@@ -93,7 +94,7 @@ class TestScenarioCatalogue:
 class TestRunner:
     @pytest.fixture(scope="class")
     def small_scenario(self):
-        return single_ip_scenario("small", "full", "low", task_count=10)
+        return to_scenario(single_ip_platform("small", "full", "low", task_count=10))
 
     def test_run_scenario_produces_artifacts(self, small_scenario):
         artefacts = run_scenario(small_scenario, DpmSetup.paper())

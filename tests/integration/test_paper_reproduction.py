@@ -14,8 +14,8 @@ from repro.experiments import (
     run_comparison,
     run_scenario,
     scenario_by_name,
-    single_ip_scenario,
 )
+from repro.platform import single_ip_platform
 from repro.power import PowerState
 
 
@@ -97,7 +97,7 @@ class TestThermalControl:
 
 class TestPolicyOrdering:
     def test_oracle_never_worse_than_greedy_on_energy(self):
-        scenario = single_ip_scenario("policy-order", "full", "low", task_count=16)
+        scenario = single_ip_platform("policy-order", "full", "low", task_count=16)
         oracle = run_comparison(scenario, dpm=DpmSetup.oracle())
         greedy = run_comparison(scenario, dpm=DpmSetup.greedy_sleep())
         # Both sleep aggressively; the oracle avoids mispredicted shutdowns so
@@ -105,7 +105,7 @@ class TestPolicyOrdering:
         assert oracle.dpm_energy_j <= greedy.dpm_energy_j * 1.05
 
     def test_paper_policy_saves_more_than_greedy_under_low_battery(self):
-        scenario = single_ip_scenario("policy-low-batt", "low", "low", task_count=16)
+        scenario = single_ip_platform("policy-low-batt", "low", "low", task_count=16)
         paper = run_comparison(scenario, dpm=DpmSetup.paper())
         greedy = run_comparison(scenario, dpm=DpmSetup.greedy_sleep())
         # The paper's policy additionally slows execution down (DVFS), which
@@ -113,7 +113,7 @@ class TestPolicyOrdering:
         assert paper.energy_saving_pct > greedy.energy_saving_pct
 
     def test_always_on_baseline_runs_only_on1(self):
-        scenario = single_ip_scenario("baseline-check", "low", "high", task_count=12)
+        scenario = single_ip_platform("baseline-check", "low", "high", task_count=12)
         run = run_scenario(scenario, DpmSetup.always_on())
         for execution in run.executions:
             assert execution.power_state is PowerState.ON1

@@ -15,7 +15,15 @@ from repro.experiments import (
 )
 from repro.experiments.lint_crosscheck import PAPER_SCENARIO_NAMES
 from repro.lint import Severity, lint_spec
-from repro.platform import IpDef, PlatformSpec, PolicyDef, WorkloadDef
+from repro.platform import (
+    BatteryDef,
+    IpDef,
+    PlatformSpec,
+    PolicyDef,
+    WorkloadDef,
+    platform_by_name,
+    to_scenario,
+)
 
 
 class TestPaperScenarios:
@@ -93,6 +101,35 @@ class TestInjectedShadowedRule:
         assert result.fire_counts.get(injected, 0) == 0
         assert result.ok
         assert result.table_name == "injected-rules"
+
+
+class TestScenarioSpecResolution:
+    """A Scenario is checked against its own spec, whatever its name."""
+
+    def test_renamed_spec_is_reach_checked_as_spec_and_scenario(self, tmp_path):
+        spec = platform_by_name("phone-bursty")
+        spec.name = "my-phone"
+        assert crosscheck_scenario(spec, trace_dir=tmp_path).reach_checked
+        assert crosscheck_scenario(to_scenario(spec), trace_dir=tmp_path).reach_checked
+
+    def test_scenario_replays_against_its_own_rules(self, tmp_path):
+        spec = injected_shadowed_spec()
+        injected = len(spec.policy.rules) - 1
+        result = crosscheck_scenario(to_scenario(spec), trace_dir=tmp_path)
+        assert result.table_name == "injected-rules"
+        assert injected in result.unreachable
+        assert result.ok
+
+    def test_registered_name_does_not_replace_the_scenarios_spec(self, tmp_path):
+        # Named "A1" but with A2's battery: the run sees a low battery, which
+        # lies outside the registered A1 envelope but inside its own.
+        spec = platform_by_name("A1")
+        spec.battery = BatteryDef(condition="low")
+        result = crosscheck_scenario(to_scenario(spec), trace_dir=tmp_path)
+        assert result.ok, result.violations
+        assert result.reach_checked
+        own = crosscheck_scenario(spec, trace_dir=tmp_path)
+        assert result.trajectory_dead == own.trajectory_dead
 
 
 class TestDecisionContexts:

@@ -1,13 +1,12 @@
 """Tests for the spec -> runnable-object bridge (repro.platform.build)."""
 
+import dataclasses
+
 import pytest
 
 from repro.dpm.controller import DpmSetup
-from repro.experiments.scenarios import (
-    multi_ip_scenario,
-    paper_scenarios,
-    single_ip_scenario,
-)
+from repro.errors import PlatformError
+from repro.experiments.scenarios import paper_scenarios
 from repro.platform import (
     GemDef,
     IpDef,
@@ -23,58 +22,58 @@ from repro.platform import (
     paper_platforms,
     platform_by_name,
     platform_setup,
+    single_ip_platform,
     to_scenario,
 )
 from repro.platform.build import build_characterization, build_transitions
-from repro.power.model import default_power_model
 from repro.power.states import PowerState
-from repro.sim.simtime import us
+from repro.sim.simtime import ms, us
 from repro.soc.task import TaskPriority
 
 
 class TestPaperMigration:
-    """The six rows built from specs equal the legacy factory output."""
-
-    def test_single_ip_platforms_match_legacy_factories(self):
-        for name, battery, temperature in (
-            ("A1", "full", "low"), ("A2", "low", "low"),
-            ("A3", "full", "high"), ("A4", "low", "high"),
-        ):
-            legacy = single_ip_scenario(name, battery, temperature)
-            modern = to_scenario(platform_by_name(name))
-            legacy_specs, modern_specs = legacy.build_specs(), modern.build_specs()
-            assert len(legacy_specs) == len(modern_specs) == 1
-            for old, new in zip(legacy_specs, modern_specs):
-                assert old.workload.as_dicts() == new.workload.as_dicts()
-                assert (old.name, old.static_priority) == (new.name, new.static_priority)
-                assert new.power is old.power is default_power_model()
-            assert legacy.build_config() == modern.build_config()
-            assert legacy.max_time == modern.max_time
-
-    def test_multi_ip_platforms_match_legacy_factories(self):
-        for name, ips in (("B", (1, 2)), ("C", (3, 4))):
-            legacy = multi_ip_scenario(name, "low", "low", high_activity_ips=ips)
-            modern = to_scenario(platform_by_name(name))
-            for old, new in zip(legacy.build_specs(), modern.build_specs()):
-                assert old.workload.as_dicts() == new.workload.as_dicts()
-                assert old.workload.name == new.workload.name
-            assert legacy.build_config() == modern.build_config()
+    """The six paper rows are scenarios of the built-in specs."""
 
     def test_paper_scenarios_are_platform_backed(self):
         scenarios = paper_scenarios()
         assert [s.name for s in scenarios] == ["A1", "A2", "A3", "A4", "B", "C"]
         for scenario, spec in zip(scenarios, paper_platforms()):
             assert scenario.spec == spec
-            assert scenario.paper_row is not None
+            assert scenario.seed is None
 
-    def test_impostor_paper_name_gets_no_paper_row(self):
-        # a user spec merely *named* "A1" must not inherit the paper's
-        # printed reference figures
-        impostor = PlatformSpec(name="A1", ips=[
+
+class TestScenario:
+    """A scenario is a validated spec plus an optional grid seed."""
+
+    def test_fields_are_derived_from_the_spec(self):
+        spec = platform_by_name("B")
+        scenario = to_scenario(spec, seed=3)
+        assert (scenario.spec, scenario.seed) == (spec, 3)
+        assert scenario.name == "B"
+        assert scenario.description == spec.description
+        assert scenario.max_time == ms(spec.max_time_ms)
+        assert scenario.build_config().name == "soc_B"
+        assert [ip.name for ip in scenario.build_specs()] == ["ip1", "ip2", "ip3", "ip4"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.seed = 4
+
+    def test_seed_reseeds_each_ip_by_its_index(self):
+        spec = platform_by_name("B")
+        seeded = to_scenario(spec, seed=3).build_specs()
+        for index, ip in enumerate(seeded):
+            expected = build_workload(spec.ips[index].workload, seed_override=3 + index)
+            assert ip.workload.as_dicts() == expected.as_dicts()
+
+    def test_invalid_spec_is_rejected(self):
+        spec = single_ip_platform("X", "lowish", "low")
+        with pytest.raises(PlatformError, match="battery condition"):
+            to_scenario(spec)
+
+    def test_description_defaults_to_a_summary(self):
+        spec = PlatformSpec(name="bare", ips=[
             IpDef(name="x", workload=WorkloadDef(kind="periodic", task_count=2)),
         ])
-        assert to_scenario(impostor).paper_row is None
-        assert to_scenario(platform_by_name("A1")).paper_row is not None
+        assert to_scenario(spec).description == "platform 'bare' (1 IPs)"
 
 
 class TestWorkloadBuild:
@@ -221,6 +220,6 @@ class TestSetupResolution:
         assert baseline.gem_config.high_priority_count == 3
 
     def test_plain_scenarios_are_untouched(self):
-        scenario = single_ip_scenario("X", "full", "low")
+        scenario = to_scenario(single_ip_platform("X", "full", "low"))
         resolved = platform_setup(scenario, None, DpmSetup.paper, use_policy=True)
         assert resolved.name == "paper"
