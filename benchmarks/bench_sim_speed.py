@@ -117,11 +117,11 @@ def test_soc_build_multi_ip(benchmark):
 
 
 def _bus_contention_platform(timing: str):
-    """Four IPs hammering one shared bus: the materialised-clock stress case.
+    """Four IPs hammering one shared bus: the bus-arbitration stress case.
 
     The same platform runs in both timing modes, so the dashboard tracks the
-    cost of posedge arbitration (a real consumer of ``Clock.out``) against
-    the clock-free event-driven bus.
+    cost of batched posedge arbitration (grants computed from the bus
+    clock's edge schedule) against the clock-free event-driven bus.
     """
     builder = (
         PlatformBuilder(f"bench-bus-{timing}")
@@ -169,7 +169,7 @@ def test_simulation_speed_bus_event_driven(benchmark):
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_simulation_speed_bus_cycle_accurate(benchmark):
-    """Bus contention with posedge arbitration on a materialised clock."""
+    """Bus contention with batched posedge arbitration."""
     _bench_bus(benchmark, "cycle_accurate")
 
 

@@ -5,7 +5,7 @@ Architecture").
 The package is organised in layers:
 
 * :mod:`repro.sim` — a SystemC-like discrete-event simulation kernel
-  (modules, signals, ports, processes, delta cycles, tracing).
+  (modules, signals, processes, events, delta cycles, tracing).
 * :mod:`repro.power` — ACPI-style power states, DVFS operating points,
   transition cost tables, break-even analysis, energy accounting and the
   Power State Machine (PSM).

@@ -155,7 +155,6 @@ class GlobalEnergyManager(Module):
                 temperature_sensor.level_signal.changed_event,
             ],
             name="sensor_watch",
-            dont_initialize=True,
         )
 
     # ------------------------------------------------------------------

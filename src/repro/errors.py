@@ -23,20 +23,11 @@ class SimulationError(ReproError):
 
 
 class ElaborationError(SimulationError):
-    """The module hierarchy could not be elaborated (bad bindings, names...)."""
+    """The module hierarchy is malformed (an empty or duplicate module name)."""
 
 
 class SchedulingError(SimulationError):
     """A process performed an illegal scheduling operation."""
-
-
-class SimulationFinished(SimulationError):
-    """Raised internally when the simulation has no more work to do.
-
-    Users normally never see this exception: :meth:`repro.sim.kernel.Kernel.run`
-    catches it and returns normally.  It is public so custom schedulers can
-    reuse the same control flow.
-    """
 
 
 class PowerModelError(ReproError):

@@ -738,8 +738,8 @@ class BusDef:
     """The shared on-chip bus: presence, bandwidth, arbitration and timing.
 
     ``timing`` selects the bus model: ``event_driven`` (immediate grants,
-    exact durations) or ``cycle_accurate`` (the bus owns a materialised
-    clock of ``words_per_second / words_per_cycle`` Hz, grants land only on
+    exact durations) or ``cycle_accurate`` (the bus clocks at
+    ``words_per_second / words_per_cycle`` Hz, grants land only on its
     posedges and durations round up to whole bus cycles).
     """
 

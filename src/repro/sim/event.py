@@ -19,9 +19,9 @@ values once at the scheduling boundary and everything below runs on plain
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
-from repro.sim.simtime import SimTime, ZERO_TIME
+from repro.sim.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.kernel import Kernel
@@ -111,16 +111,21 @@ class Event:
         self._kernel.schedule_timed(self, delay)
 
     # -- firing (kernel only) ---------------------------------------------
-    def fire(self) -> List["Process"]:
-        """Wake all waiters and run callbacks; return the processes woken.
+    def fire(self, runnable: Deque["Process"]) -> None:
+        """Run the callbacks, then queue every waiter on ``runnable``.
 
         This is called by the kernel when the notification matures.  The
         waiter list is cleared: dynamic waits are one-shot, as in SystemC.
+        A waiter already queued (woken by another event in the same phase)
+        is not queued twice, so a process resumes at most once per wake.
         """
         woken, self._waiters = self._waiters, []
         for callback in self._callbacks:
             callback()
-        return woken
+        for process in woken:
+            if not process.queued:
+                process.queued = True
+                runnable.append(process)
 
 
 class TimedQueue:
@@ -188,11 +193,6 @@ class TimedQueue:
             return None
         return heap[0][0]
 
-    def next_time(self) -> Optional[SimTime]:
-        """Absolute time of the earliest pending entry, or ``None`` if empty."""
-        when_fs = self.next_time_fs()
-        return None if when_fs is None else SimTime(when_fs)
-
     def pop_due(self, now_fs: int) -> list:
         """Pop and return all payloads whose time is exactly ``now_fs``."""
         due = []
@@ -223,6 +223,3 @@ class TimedQueue:
         heapq.heapify(self._heap)
         self._dead = 0
 
-
-def _zero() -> SimTime:  # pragma: no cover - kept for API symmetry
-    return ZERO_TIME

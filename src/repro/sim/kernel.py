@@ -14,6 +14,30 @@ The :class:`Kernel` implements the classic SystemC 2.0 scheduling algorithm:
    repeat, until there is no pending activity, the requested duration has
    elapsed, or :meth:`Kernel.stop` was called.
 
+Same-femtosecond ordering contract
+----------------------------------
+Everything that happens at one simulated instant is ordered as follows, and
+the goldens depend on it:
+
+* **Timed entries pop in push order.**  Event notifications and process
+  timeouts maturing at the same femtosecond share one queue keyed by
+  ``(time, push sequence)``, so they take effect in the order they were
+  scheduled.
+* **Timed-event callbacks run during the time advance.**  When a timed
+  event matures its callbacks (for instance the cycle-accurate bus's
+  ``_arb_timer``) run while the kernel advances time, before any process
+  of that instant resumes.
+* **Immediate notifications queue behind the runnable set.**  ``notify()``
+  appends the waiters to the end of the runnable queue: processes that are
+  already runnable in this evaluate phase run first.
+* **Delta events fire after the update phase.**  A delta notification made
+  during an evaluate phase fires once that phase's signal writes are
+  visible, so its waiters read the updated values.
+* **A process resumes at most once per wake.**  A process woken by several
+  events in the same phase — two delta events, two immediate notifications,
+  or two timed events at the same instant — is queued once and resumes
+  once.
+
 The kernel is deliberately independent from the module system: it only knows
 about :class:`~repro.sim.event.Event` and
 :class:`~repro.sim.process.Process` objects, which keeps it easy to test in
@@ -23,7 +47,7 @@ models use plain processes, for instance).
 Internally the hot path works on raw integer femtoseconds: the timed queue,
 :meth:`Kernel._advance_to` and the time comparisons in :meth:`Kernel.run`
 never build :class:`~repro.sim.simtime.SimTime` objects per event.  A cached
-``SimTime`` view of the current instant is refreshed once per time advance,
+``SimTime`` view of the current instant is built on demand,
 so :attr:`Kernel.now` stays the public value type without per-read
 allocation.  Pure timed waits (``yield SimTime``) are resumed without any
 waiter-list or cancellation bookkeeping — the dominant activation in this
@@ -34,7 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import Event, TimedQueue
@@ -80,10 +104,8 @@ class Kernel:
     def __init__(self) -> None:
         self._now_fs: int = 0
         self._now: SimTime = ZERO_TIME  # cached SimTime view of _now_fs
-        # Runnable entries are either a bare Process (timed wake, the common
-        # case) or a (Process, Event) tuple when an event wake must carry its
-        # trigger for AllOf bookkeeping.
-        self._runnable: Deque = deque()
+        # Processes to run in the current evaluate phase, in wake order.
+        self._runnable: Deque[Process] = deque()
         # The delta/update queues preserve insertion order (lists) but use
         # side sets for O(1) dedup — membership scans dominated the hot path.
         self._delta_events: List[Event] = []
@@ -96,7 +118,6 @@ class Kernel:
         self._stop_requested = False
         self._running = False
         self.stats = KernelStatistics()
-        self._end_of_delta_callbacks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Factory helpers
@@ -112,9 +133,9 @@ class Kernel:
         self.register_process(process)
         return process
 
-    def create_method(self, func, sensitivity, name: str, dont_initialize: bool = False) -> MethodProcess:
+    def create_method(self, func, sensitivity, name: str) -> MethodProcess:
         """Create and register a method process with a static sensitivity list."""
-        process = MethodProcess(self, name, func, dont_initialize=dont_initialize)
+        process = MethodProcess(self, name, func)
         process.set_sensitivity(list(sensitivity))
         self.register_process(process)
         return process
@@ -137,8 +158,8 @@ class Kernel:
         """Current simulated time."""
         now = self._now
         if now is None:
-            # Lazily materialised: most time advances (pure timed waits) are
-            # never observed through the SimTime view.
+            # Built lazily: most time advances (pure timed waits) are never
+            # observed through the SimTime view.
             now = self._now = SimTime(self._now_fs)
         return now
 
@@ -146,11 +167,6 @@ class Kernel:
     def now_fs(self) -> int:
         """Current simulated time as raw integer femtoseconds."""
         return self._now_fs
-
-    @property
-    def is_running(self) -> bool:
-        """True while :meth:`run` is executing."""
-        return self._running
 
     @property
     def pending_activity(self) -> bool:
@@ -168,9 +184,7 @@ class Kernel:
     def schedule_immediate(self, event: Event) -> None:
         """Immediate notification: wake waiters within the current phase."""
         self.stats.immediate_notifications += 1
-        runnable = self._runnable
-        for process in event.fire():
-            runnable.append((process, event))
+        event.fire(self._runnable)
 
     def schedule_delta(self, event: Event) -> None:
         """Delta notification: fire the event in the next delta cycle."""
@@ -199,10 +213,6 @@ class Kernel:
         if channel not in scheduled:
             scheduled.add(channel)
             self._update_queue.append(channel)
-
-    def add_end_of_delta_callback(self, callback: Callable[[], None]) -> None:
-        """Register a callback run at the end of every delta cycle (tracing)."""
-        self._end_of_delta_callbacks.append(callback)
 
     def stop(self) -> None:
         """Request the simulation to stop at the end of the current delta."""
@@ -282,24 +292,18 @@ class Kernel:
         self._set_now(next_fs)
         self.stats.time_advances += 1
         runnable = self._runnable
-        append = runnable.append
         for payload in self._timed.pop_due(next_fs):
-            cls = payload.__class__
-            if cls is ThreadProcess:
+            if payload.__class__ is Event:
+                payload.fire(runnable)
+            else:
                 # Pure timed wake (the dominant case): drop the consumed
                 # handle so the process resume skips all wait bookkeeping.
                 payload._pending_timeout = None
-                append(payload)
-            elif cls is Event or isinstance(payload, Event):
-                for process in payload.fire():
-                    append((process, payload))
-            else:
-                append((payload, None))
+                runnable.append(payload)
 
     def _delta_loop(self) -> None:
         """Run evaluate/update/delta cycles until no process is runnable."""
         runnable = self._runnable
-        callbacks = self._end_of_delta_callbacks
         stats = self.stats
         activations = 0
         delta_cycles = 0
@@ -308,18 +312,11 @@ class Kernel:
             while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
                 # Evaluate phase.
                 while runnable:
-                    entry = runnable.popleft()
-                    if entry.__class__ is tuple:
-                        process, trigger = entry
-                        if process.terminated:
-                            continue
-                        process.resume(trigger)
-                    else:
-                        # Bare entries are ThreadProcess timeout wakes whose
-                        # handle was already cleared: advance them directly.
-                        if entry.terminated:
-                            continue
-                        entry._advance()
+                    process = runnable.popleft()
+                    process.queued = False
+                    if process.terminated:
+                        continue
+                    process.resume()
                     activations += 1
                 # Update phase.
                 if self._update_queue:
@@ -333,12 +330,8 @@ class Kernel:
                     delta_events, self._delta_events = self._delta_events, []
                     self._delta_scheduled.clear()
                     for event in delta_events:
-                        for process in event.fire():
-                            runnable.append((process, event))
+                        event.fire(runnable)
                 delta_cycles += 1
-                if callbacks:
-                    for callback in callbacks:
-                        callback()
         finally:
             stats.process_activations += activations
             stats.delta_cycles += delta_cycles

@@ -1,8 +1,8 @@
 """Hierarchical modules: the structural building blocks of a model.
 
-A :class:`Module` groups processes, signals and ports under a hierarchical
-name, exactly like a SystemC ``sc_module``.  Subclasses describe behaviour
-by registering processes in their constructor::
+A :class:`Module` groups processes and signals under a hierarchical name,
+like a SystemC ``sc_module``.  Subclasses describe behaviour by registering
+processes in their constructor::
 
     class Blinker(Module):
         def __init__(self, kernel, name, parent=None):
@@ -15,19 +15,19 @@ by registering processes in their constructor::
                 self.led.write(not self.led.read())
                 yield ns(10)
 
-Modules track their children so the :class:`~repro.sim.simulator.Simulator`
-can walk the hierarchy during elaboration (resolving ports, calling
-``end_of_elaboration`` hooks) and when printing the design tree.
+Modules track their children so the design tree can be printed.  There
+are no ports and no elaboration step: a module reads and writes the
+signals it holds references to, and its processes are registered with the
+kernel as soon as they are created.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ElaborationError
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
-from repro.sim.port import Port
 from repro.sim.process import MethodProcess, Process, ThreadProcess
 from repro.sim.signal import Signal
 
@@ -62,9 +62,7 @@ class Module:
         self._full_name = name if parent is None else f"{parent.name}.{name}"
         self._children: Dict[str, "Module"] = {}
         self._signals: List[Signal] = []
-        self._ports: List[Port] = []
         self._processes: List[Process] = []
-        self._elaborated = False
         if parent is not None:
             parent._add_child(self)
 
@@ -90,22 +88,6 @@ class Module:
         """Direct sub-modules, in creation order."""
         return list(self._children.values())
 
-    def walk(self) -> Iterator["Module"]:
-        """Yield this module and every descendant, depth-first."""
-        yield self
-        for child in self._children.values():
-            yield from child.walk()
-
-    def find(self, path: str) -> "Module":
-        """Find a descendant by dot-separated relative path."""
-        module: Module = self
-        for part in path.split("."):
-            try:
-                module = module._children[part]
-            except KeyError:
-                raise ElaborationError(f"{self.name!r} has no descendant {path!r}") from None
-        return module
-
     # -- construction helpers ------------------------------------------------
     def signal(self, name: str, initial: T) -> Signal[T]:
         """Create a signal named relative to this module."""
@@ -116,12 +98,6 @@ class Module:
     def event(self, name: str) -> Event:
         """Create an event named relative to this module."""
         return self.kernel.event(f"{self.name}.{name}")
-
-    def register_port(self, port: Port) -> Port:
-        """Track a port so elaboration can verify it is bound."""
-        port.name = f"{self.name}.{port.name}"
-        self._ports.append(port)
-        return port
 
     def add_thread(self, func: Callable, name: Optional[str] = None) -> ThreadProcess:
         """Register a generator function as a thread process."""
@@ -135,32 +111,16 @@ class Module:
         func: Callable[[], None],
         sensitivity: Iterable[Event],
         name: Optional[str] = None,
-        dont_initialize: bool = False,
     ) -> MethodProcess:
-        """Register a callable as a method process with static sensitivity."""
+        """Register a callable as a method process with static sensitivity.
+
+        The method first runs on the first notification of an event in
+        ``sensitivity``, never at initialisation.
+        """
         process_name = f"{self.name}.{name or func.__name__}"
-        process = self.kernel.create_method(
-            func, sensitivity, process_name, dont_initialize=dont_initialize
-        )
+        process = self.kernel.create_method(func, sensitivity, process_name)
         self._processes.append(process)
         return process
-
-    # -- elaboration hooks -----------------------------------------------------
-    def before_end_of_elaboration(self) -> None:
-        """Hook called on every module before ports are resolved."""
-
-    def end_of_elaboration(self) -> None:
-        """Hook called on every module after ports are resolved."""
-
-    def elaborate(self) -> None:
-        """Resolve this module's ports (called by the simulator)."""
-        if self._elaborated:
-            return
-        self.before_end_of_elaboration()
-        for port in self._ports:
-            port.resolve()
-        self._elaborated = True
-        self.end_of_elaboration()
 
     # -- reporting ---------------------------------------------------------------
     def design_tree(self, indent: int = 0) -> str:

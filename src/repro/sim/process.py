@@ -8,17 +8,17 @@ Two kinds of processes exist, mirroring SystemC:
 
   - a :class:`~repro.sim.simtime.SimTime` duration,
   - an :class:`~repro.sim.event.Event`,
-  - an :class:`AnyOf` / :class:`AllOf` combinator over events,
+  - an :class:`AnyOf` combinator over events (resume on the first),
   - ``None`` (wait on the process' static sensitivity, if any).
 
 * **Method processes** (:class:`MethodProcess`) wrap a plain callable that is
   re-invoked from scratch every time an event in its static sensitivity list
-  is notified.  Method processes never suspend.
+  is notified.  Method processes never suspend, and never run at
+  initialisation: the first call waits for the first notification.
 
 The dominant wait in this library is ``yield SimTime`` (a pure timed wait):
 both :meth:`ThreadProcess.resume` and the arming logic special-case it so a
-timed resume touches no waiter lists, no cancellation and no ``AllOf``
-bookkeeping.
+timed resume touches no waiter lists and no cancellation.
 
 Users normally do not instantiate these classes directly; they call
 :meth:`repro.sim.module.Module.add_thread` and
@@ -36,7 +36,7 @@ from repro.sim.simtime import SimTime
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["AnyOf", "AllOf", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
+__all__ = ["AnyOf", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
 
 
 class AnyOf:
@@ -53,21 +53,7 @@ class AnyOf:
         return f"AnyOf({[e.name for e in self.events]})"
 
 
-class AllOf:
-    """Wait specification: resume when *all* of the given events have fired."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events: List[Event] = list(events)
-        if not self.events:
-            raise SchedulingError("AllOf requires at least one event")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AllOf({[e.name for e in self.events]})"
-
-
-WaitSpec = Union[SimTime, Event, AnyOf, AllOf, None]
+WaitSpec = Union[SimTime, Event, AnyOf, None]
 
 
 class Process:
@@ -78,9 +64,9 @@ class Process:
         "name",
         "static_sensitivity",
         "terminated",
+        "queued",
         "_pending_timeout",
         "_waiting_events",
-        "_remaining_all_of",
     )
 
     def __init__(self, kernel: "Kernel", name: str) -> None:
@@ -88,9 +74,11 @@ class Process:
         self.name = name
         self.static_sensitivity: List[Event] = []
         self.terminated = False
+        # True while the process sits in the kernel's runnable queue; an
+        # event wake finding it set adds no second entry.
+        self.queued = False
         self._pending_timeout = None  # TimedEntry handle for a pending timed wait
         self._waiting_events: List[Event] = []
-        self._remaining_all_of: set = set()
 
     # -- wiring -----------------------------------------------------------
     def set_sensitivity(self, events: Sequence[Event]) -> None:
@@ -102,7 +90,7 @@ class Process:
         """Called once at the start of simulation."""
         raise NotImplementedError
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
+    def resume(self) -> None:
         """Called by the kernel when a wait of this process matures."""
         raise NotImplementedError
 
@@ -126,8 +114,6 @@ class Process:
         if self._pending_timeout is not None:
             self.kernel.cancel_timed(self._pending_timeout)
             self._pending_timeout = None
-        if self._remaining_all_of:
-            self._remaining_all_of = set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = type(self).__name__
@@ -185,21 +171,11 @@ class ThreadProcess(Process):
         self._generator = None
         generator.close()
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
-        """Resume after a wait; honours AllOf bookkeeping."""
-        if self.terminated:
-            return
-        if self._remaining_all_of:
-            if trigger is not None:
-                self._remaining_all_of.discard(trigger)
-                trigger.remove_waiter(self)
-            if self._remaining_all_of:
-                # Still waiting for the remaining events; re-arm on the trigger
-                # is not needed because other events keep us registered.
-                return
+    def resume(self) -> None:
+        """Resume after a wait: withdraw what is left of it, then advance."""
         # Fast path: a matured pure timed wait (the kernel clears the handle
         # before resuming) leaves nothing to unregister.
-        if self._waiting_events or self._pending_timeout is not None or self._remaining_all_of:
+        if self._waiting_events or self._pending_timeout is not None:
             self._clear_waits()
         self._advance()
 
@@ -227,7 +203,8 @@ class ThreadProcess(Process):
         self._arm(spec)
 
     def _arm(self, spec: WaitSpec) -> None:
-        """Register the wait described by ``spec`` with the kernel."""
+        """Register the event wait described by ``spec`` (timed waits are
+        armed in :meth:`_advance`)."""
         if spec is None:
             if not self.static_sensitivity:
                 raise SchedulingError(
@@ -237,20 +214,11 @@ class ThreadProcess(Process):
                 event.add_waiter(self)
                 self._waiting_events.append(event)
             return
-        if isinstance(spec, SimTime):  # pragma: no cover - handled in _advance
-            self._pending_timeout = self.kernel.schedule_process_timeout(self, spec)
-            return
         if isinstance(spec, Event):
             spec.add_waiter(self)
             self._waiting_events.append(spec)
             return
         if isinstance(spec, AnyOf):
-            for event in spec.events:
-                event.add_waiter(self)
-                self._waiting_events.append(event)
-            return
-        if isinstance(spec, AllOf):
-            self._remaining_all_of = set(spec.events)
             for event in spec.events:
                 event.add_waiter(self)
                 self._waiting_events.append(event)
@@ -263,30 +231,19 @@ class ThreadProcess(Process):
 class MethodProcess(Process):
     """A callable re-run on every notification of its sensitivity list."""
 
-    __slots__ = ("_func", "dont_initialize")
+    __slots__ = ("_func",)
 
-    def __init__(
-        self,
-        kernel: "Kernel",
-        name: str,
-        func: Callable[[], None],
-        dont_initialize: bool = False,
-    ) -> None:
+    def __init__(self, kernel: "Kernel", name: str, func: Callable[[], None]) -> None:
         super().__init__(kernel, name)
         self._func = func
-        self.dont_initialize = dont_initialize
 
     def start(self) -> None:
-        """Run once at time zero (unless ``dont_initialize``) and re-arm."""
+        """Arm the static sensitivity; the callable waits for a notification."""
         if self.terminated:  # killed before the simulation started
             return
         self._rearm()
-        if not self.dont_initialize:
-            self._func()
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
-        if self.terminated:
-            return
+    def resume(self) -> None:
         self._rearm()
         self._func()
 

@@ -6,16 +6,13 @@ usual hardware-description determinism: every process reading a signal in
 the same delta cycle observes the same (old) value regardless of execution
 order.
 
-Signals expose three notification events:
-
-* ``changed_event`` — notified whenever the stored value actually changes;
-* ``posedge_event`` / ``negedge_event`` — for boolean signals, notified on
-  rising / falling transitions (used by clocked processes).
+A signal exposes one notification event, ``changed_event``, notified one
+delta cycle after the stored value actually changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, List, Optional, TypeVar
+from typing import Callable, Generic, List, TypeVar
 
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
@@ -45,8 +42,6 @@ class Signal(Generic[T]):
         "_current",
         "_next",
         "changed_event",
-        "_posedge_event",
-        "_negedge_event",
         "_observers",
         "_write_count",
         "_change_count",
@@ -58,8 +53,6 @@ class Signal(Generic[T]):
         self._current: T = initial
         self._next: T = initial
         self.changed_event: Event = kernel.event(f"{name}.changed")
-        self._posedge_event: Optional[Event] = None
-        self._negedge_event: Optional[Event] = None
         self._observers: List[Callable[[SimTime, T], None]] = []
         self._write_count = 0
         self._change_count = 0
@@ -82,20 +75,6 @@ class Signal(Generic[T]):
             self._kernel.request_update(self)
 
     # -- events -------------------------------------------------------------
-    @property
-    def posedge_event(self) -> Event:
-        """Event notified when a boolean signal rises (False -> True)."""
-        if self._posedge_event is None:
-            self._posedge_event = self._kernel.event(f"{self.name}.posedge")
-        return self._posedge_event
-
-    @property
-    def negedge_event(self) -> Event:
-        """Event notified when a boolean signal falls (True -> False)."""
-        if self._negedge_event is None:
-            self._negedge_event = self._kernel.event(f"{self.name}.negedge")
-        return self._negedge_event
-
     def add_observer(self, callback: Callable[[SimTime, T], None]) -> None:
         """Register a callback invoked with ``(time, new_value)`` on change."""
         self._observers.append(callback)
@@ -129,16 +108,15 @@ class Signal(Generic[T]):
     def update(self) -> None:
         """Apply the pending write; called by the kernel in the update phase.
 
-        Notification events with neither waiters nor callbacks are not
+        A ``changed_event`` with neither waiters nor callbacks is not
         scheduled at all: the update phase runs after the evaluate phase, so
-        the waiter set is final and firing such an event in the next delta
+        the waiter set is final and firing it in the next delta
         cycle could not wake anything.  Skipping them keeps waiter-less
         signal traffic (status/debug signals nobody listens to) from forcing
         empty delta cycles through the kernel.
         """
         new = self._next
-        old = self._current
-        if new == old:
+        if new == self._current:
             return
         self._current = new
         self._change_count += 1
@@ -146,14 +124,6 @@ class Signal(Generic[T]):
         changed = self.changed_event
         if changed._waiters or changed._callbacks:
             kernel.schedule_delta(changed)
-        posedge = self._posedge_event
-        negedge = self._negedge_event
-        if posedge is not None or negedge is not None:
-            if isinstance(old, bool) or isinstance(new, bool):
-                if not old and new and posedge is not None and (posedge._waiters or posedge._callbacks):
-                    kernel.schedule_delta(posedge)
-                if old and not new and negedge is not None and (negedge._waiters or negedge._callbacks):
-                    kernel.schedule_delta(negedge)
         if self._observers:
             now = kernel.now
             for observer in self._observers:

@@ -2,13 +2,11 @@
 
 The :class:`Simulator` owns a :class:`~repro.sim.kernel.Kernel`, the
 top-level modules and an optional :class:`~repro.sim.trace.TraceRecorder`.
-It takes care of the boring but important lifecycle steps:
+It takes care of the lifecycle around the kernel:
 
-1. construct modules (user code),
-2. :meth:`elaborate` — resolve every port in the hierarchy and run the
-   ``end_of_elaboration`` hooks,
-3. :meth:`run` for a duration (repeatable),
-4. collect kernel statistics and wall-clock throughput
+1. construct modules (user code) and register the top-level ones,
+2. :meth:`run` for a duration (repeatable),
+3. collect kernel statistics and wall-clock throughput
    (:class:`SimulationReport`), which is what the simulation-speed figure in
    the paper is reproduced from.
 """
@@ -63,8 +61,6 @@ class Simulator:
         self.kernel = Kernel()
         self._top_modules: List[Module] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
-        self._elaborated = False
-        self._last_report = SimulationReport()
 
     # -- construction ------------------------------------------------------
     def add_module(self, module: Module) -> Module:
@@ -83,30 +79,9 @@ class Simulator:
         """Registered top-level modules."""
         return list(self._top_modules)
 
-    def find(self, path: str) -> Module:
-        """Find a module anywhere in the design by dot-separated path."""
-        head, _, rest = path.partition(".")
-        for module in self._top_modules:
-            if module.basename == head:
-                return module.find(rest) if rest else module
-        raise ElaborationError(f"no top-level module named {head!r}")
-
     # -- lifecycle ------------------------------------------------------------
-    def elaborate(self) -> None:
-        """Resolve every port in the hierarchy; idempotent.
-
-        A simulator without modules is allowed: models built from bare kernel
-        processes (no structural hierarchy) simply have nothing to elaborate.
-        """
-        if self._elaborated:
-            return
-        for top in self._top_modules:
-            for module in top.walk():
-                module.elaborate()
-        self._elaborated = True
-
     def run(self, duration: Optional[SimTime] = None, clock_period: Optional[SimTime] = None) -> SimulationReport:
-        """Elaborate if needed, run the kernel and return a report.
+        """Run the kernel and return a report.
 
         Parameters
         ----------
@@ -117,7 +92,6 @@ class Simulator:
             "cycles" for throughput reporting.  When omitted, the report's
             cycle-based fields are zero.
         """
-        self.elaborate()
         start_time = self.kernel.now
         wall_start = _wallclock.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
         end_sim_time = self.kernel.run(duration)
@@ -126,13 +100,12 @@ class Simulator:
         cycles = 0.0
         if clock_period is not None and not clock_period.is_zero:
             cycles = simulated / clock_period
-        self._last_report = SimulationReport(
+        return SimulationReport(
             simulated_time=simulated,
             wall_clock_seconds=wall_elapsed,
             kernel_stats=self.kernel.stats.as_dict(),
             cycles_simulated=cycles,
         )
-        return self._last_report
 
     def stop(self) -> None:
         """Request the kernel to stop."""
@@ -143,11 +116,6 @@ class Simulator:
     def now(self) -> SimTime:
         """Current simulated time."""
         return self.kernel.now
-
-    @property
-    def last_report(self) -> SimulationReport:
-        """Report of the most recent :meth:`run` call."""
-        return self._last_report
 
     def design_tree(self) -> str:
         """Printable tree of the whole design."""

@@ -105,7 +105,7 @@ class IpInstance:
 
 
 class SoC(Module):
-    """The elaborated SoC of Fig. 1, ready to simulate."""
+    """The built SoC of Fig. 1, ready to simulate."""
 
     #: structured-tracing hook (repro.obs); None keeps every hook site to a
     #: single attribute test, so untraced runs stay bit-identical
@@ -218,7 +218,6 @@ class SoC(Module):
         """
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
-        self.simulator.elaborate()
         while not self.all_done and self.simulator.now < max_time:
             remaining = max_time - self.simulator.now
             chunk = check_interval if check_interval < remaining else remaining

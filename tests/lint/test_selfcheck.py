@@ -2,6 +2,7 @@
 the real tree (the same invocation CI runs as ``repro-dpm lint --self``)."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_paths, lint_source, selfcheck
 from repro.lint.findings import Severity
@@ -176,3 +177,10 @@ class TestTreeAndPaths:
         # The exact check CI runs as `repro-dpm lint --self`.
         report = selfcheck()
         assert report.is_clean(strict=True), report.describe()
+
+    def test_test_tree_is_clean(self):
+        # No test's pass/fail may hang on the machine's speed: a test that
+        # reads a wall clock (or the global RNG) fails here.
+        tests_root = Path(__file__).resolve().parents[1]
+        findings = lint_paths([tests_root])
+        assert findings == [], "\n".join(str(finding) for finding in findings)

@@ -1,16 +1,15 @@
-"""Tests for the event-driven fast path: virtual clocks, the integer-
-femtosecond timed queue (lazy-cancellation compaction), and determinism of
-simultaneous timed notifications."""
+"""Tests for the event-driven fast path: the clock's edge arithmetic, the
+integer-femtosecond timed queue (lazy-cancellation compaction), and
+determinism of simultaneous timed notifications."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Clock, Kernel, Simulator, fs, ns, us
+from repro.errors import ConfigurationError
+from repro.sim import Clock, Kernel, fs, ns
 from repro.sim.event import TimedQueue
-from repro.sim.simtime import SimTime
 
 
 class TestTimedQueueCompaction:
@@ -193,70 +192,59 @@ class TestSimultaneousTimedDeterminism:
         assert times == sorted(times)
 
 
-class TestVirtualClock:
-    def test_virtual_clock_creates_no_activity(self):
-        kernel = Kernel()
-        clock = Clock(kernel, "clk", period=ns(10))
-        kernel.initialize()
-        assert not clock.is_materialized
-        assert not kernel.pending_activity
-        # Time advances purely analytically.
-        kernel.run(us(1))
-        assert clock.cycle_count == 100
-        assert kernel.stats.process_activations == 0
+class TestClock:
+    #: a prime femtosecond count, so no edge lands on a round number
+    PERIOD_FS = 10_000_019
+    START_FS = 7_777_777
 
-    def test_cycle_count_matches_toggled_clock(self):
-        sim_a = Simulator()
-        virtual = sim_a.add_module(Clock(sim_a.kernel, "clk", period=ns(10)))
-        sim_a.run(ns(245))
-
-        sim_b = Simulator()
-        accurate = sim_b.add_module(
-            Clock(sim_b.kernel, "clk", period=ns(10), cycle_accurate=True)
+    def brute_force_next_posedge(self, now_fs, edges=64):
+        """First of ``start_fs + k*period`` (``k >= 1``) at or after ``now_fs``."""
+        return min(
+            edge
+            for edge in (self.START_FS + k * self.PERIOD_FS for k in range(1, edges))
+            if edge >= now_fs
         )
-        sim_b.run(ns(245))
-        assert accurate.is_materialized
-        assert virtual.cycle_count == accurate.cycle_count == 24
-        assert accurate.out.change_count > 0
 
-    def test_out_access_materializes_before_run(self):
-        sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
-        edges = []
-        clock.out.add_observer(lambda when, value: edges.append((when.nanoseconds, value)))
-        assert clock.is_materialized
-        sim.run(ns(24))
-        assert edges == [(5.0, False), (10.0, True), (15.0, False), (20.0, True)]
+    def test_next_posedge_matches_brute_force_enumeration(self):
+        clock = Clock(fs(self.PERIOD_FS), start_fs=self.START_FS)
+        on_grid = [self.START_FS + k * self.PERIOD_FS for k in range(1, 40)]
+        instants = [0, self.START_FS - 1, self.START_FS, self.START_FS + 1]
+        for edge in on_grid:
+            instants += [edge - 1, edge, edge + 1]
+        instants += [self.START_FS + 5 * self.PERIOD_FS + self.PERIOD_FS // 2]
+        for now_fs in instants:
+            assert clock.next_posedge_fs(now_fs) == self.brute_force_next_posedge(now_fs), now_fs
 
-    def test_materialize_after_time_advanced_is_rejected(self):
-        sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
-        sim.run(ns(25))
-        with pytest.raises(SimulationError):
-            _ = clock.out
+    @pytest.mark.parametrize(
+        "period_fs, start_fs",
+        [(1, 0), (3, 0), (7919, 1), (7919, 104_729), (1_000_000, 999_999)],
+    )
+    def test_next_posedge_matches_brute_force_for_every_instant(self, period_fs, start_fs):
+        clock = Clock(fs(period_fs), start_fs=start_fs)
+        edges = [start_fs + k * period_fs for k in range(1, 6)]
+        # Every instant from before the start to the fourth edge, or a dense
+        # sample of them when the period is large.
+        step = max(1, period_fs // 97)
+        for now_fs in range(0, edges[3] + 1, step):
+            expected = min(edge for edge in edges if edge >= now_fs)
+            assert clock.next_posedge_fs(now_fs) == expected, now_fs
+        for edge in edges[:4]:
+            assert clock.next_posedge_fs(edge) == edge
+            assert clock.next_posedge_fs(edge + 1) == edge + period_fs
 
-    def test_duty_cycle_phases_sum_to_period_exactly(self):
-        kernel = Kernel()
-        # Adversarial period (prime femtosecond count) and duty cycle: the
-        # high phase rounds, the low phase must absorb the remainder.
-        period = fs(10_000_019)
-        clock = Clock(kernel, "clk", period=period, duty_cycle=1.0 / 3.0)
-        assert clock._high_time + clock._low_time == period
+    def test_equal_clocks_hash_alike(self):
+        assert hash(Clock(ns(10), start_fs=5)) == hash(Clock(ns(10), start_fs=5))
+        assert Clock(ns(10), start_fs=5) != Clock(ns(10), start_fs=6)
+        assert Clock(ns(10)) != Clock(ns(20))
+        assert len({Clock(ns(10)), Clock(ns(10)), Clock(ns(20))}) == 2
 
-    def test_toggled_clock_does_not_drift_from_analytic_count(self):
-        sim = Simulator()
-        period = fs(10_000_019)
-        clock = sim.add_module(
-            Clock(sim.kernel, "clk", period=period, duty_cycle=1.0 / 3.0, cycle_accurate=True)
-        )
-        # Runs the toggle thread through ~1000 full periods; the thread
-        # asserts its own cycle count against the analytic one every period.
-        sim.run(SimTime(10_000_019 * 1000))
-        assert clock.cycle_count == 1000
+    def test_clock_is_a_frozen_value(self):
+        clock = Clock(ns(10))
+        assert clock == Clock(ns(10), start_fs=0)
+        assert clock.period == ns(10)
+        with pytest.raises(AttributeError):
+            clock.period = ns(20)
 
-    def test_invalid_parameters_rejected(self):
-        kernel = Kernel()
+    def test_invalid_period_rejected(self):
         with pytest.raises(ConfigurationError):
-            Clock(kernel, "clk", period=ns(0))
-        with pytest.raises(ConfigurationError):
-            Clock(kernel, "clk2", period=ns(10), duty_cycle=1.5)
+            Clock(ns(0))

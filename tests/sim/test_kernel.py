@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import AllOf, AnyOf, Kernel, ns, us, ZERO_TIME
+from repro.sim import AnyOf, Kernel, Signal, ns, us
 
 
 @pytest.fixture
@@ -172,26 +172,6 @@ class TestEvents:
         kernel.run()
         assert log == [3.0]
 
-    def test_all_of_waits_for_every_event(self, kernel):
-        first = kernel.event("first")
-        second = kernel.event("second")
-        log = []
-
-        def waiter():
-            yield AllOf([first, second])
-            log.append(kernel.now.nanoseconds)
-
-        def notifier():
-            first.notify_after(ns(3))
-            second.notify_after(ns(9))
-            return
-            yield  # pragma: no cover
-
-        kernel.create_thread(waiter, "waiter")
-        kernel.create_thread(notifier, "notifier")
-        kernel.run()
-        assert log == [9.0]
-
     def test_event_wait_is_one_shot(self, kernel):
         event = kernel.event("go")
         wakeups = []
@@ -215,8 +195,6 @@ class TestEvents:
     def test_anyof_requires_events(self, kernel):
         with pytest.raises(SchedulingError):
             AnyOf([])
-        with pytest.raises(SchedulingError):
-            AllOf([])
 
 
 class TestMethodProcesses:
@@ -224,8 +202,7 @@ class TestMethodProcesses:
         event = kernel.event("tick")
         calls = []
 
-        kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [event], "m",
-                             dont_initialize=True)
+        kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [event], "m")
 
         def driver():
             for _ in range(3):
@@ -236,12 +213,241 @@ class TestMethodProcesses:
         kernel.run()
         assert calls == [10.0, 20.0, 30.0]
 
-    def test_method_initialization_call(self, kernel):
+    def test_method_waits_for_its_first_notification(self, kernel):
         event = kernel.event("tick")
         calls = []
         kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [event], "m")
         kernel.run()
-        assert calls == [0.0]
+        assert calls == []
+
+
+class TestSingleWakePerPhase:
+    """A process woken by several events in one phase resumes once."""
+
+    @staticmethod
+    def _thread_wake_times(kernel, notify_both):
+        first = kernel.event("first")
+        second = kernel.event("second")
+        log = []
+
+        def waiter():
+            yield AnyOf([first, second])
+            log.append(("woken", kernel.now.nanoseconds))
+            yield ns(100)
+            log.append(("slept", kernel.now.nanoseconds))
+
+        def driver():
+            yield ns(10)
+            notify_both(first, second)
+
+        kernel.create_thread(waiter, "waiter")
+        kernel.create_thread(driver, "driver")
+        kernel.run()
+        return log
+
+    def test_two_delta_notifications_wake_a_thread_once(self, kernel):
+        def notify_both(first, second):
+            first.notify_delta()
+            second.notify_delta()
+
+        log = self._thread_wake_times(kernel, notify_both)
+        assert log == [("woken", 10.0), ("slept", 110.0)]
+
+    def test_two_immediate_notifications_wake_a_thread_once(self, kernel):
+        def notify_both(first, second):
+            first.notify()
+            second.notify()
+
+        log = self._thread_wake_times(kernel, notify_both)
+        assert log == [("woken", 10.0), ("slept", 110.0)]
+
+    def test_two_timed_notifications_at_one_instant_wake_a_thread_once(self, kernel):
+        def notify_both(first, second):
+            first.notify_after(ns(5))
+            second.notify_after(ns(5))
+
+        log = self._thread_wake_times(kernel, notify_both)
+        assert log == [("woken", 15.0), ("slept", 115.0)]
+
+    @staticmethod
+    def _method_run_times(kernel, notify_both):
+        first = kernel.event("first")
+        second = kernel.event("second")
+        calls = []
+        kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [first, second], "m")
+
+        def driver():
+            yield ns(10)
+            notify_both(first, second)
+
+        kernel.create_thread(driver, "driver")
+        kernel.run()
+        return calls
+
+    def test_two_delta_notifications_run_a_method_once(self, kernel):
+        def notify_both(first, second):
+            first.notify_delta()
+            second.notify_delta()
+
+        assert self._method_run_times(kernel, notify_both) == [10.0]
+
+    def test_two_immediate_notifications_run_a_method_once(self, kernel):
+        def notify_both(first, second):
+            first.notify()
+            second.notify()
+
+        assert self._method_run_times(kernel, notify_both) == [10.0]
+
+    def test_two_timed_notifications_at_one_instant_run_a_method_once(self, kernel):
+        def notify_both(first, second):
+            first.notify_after(ns(5))
+            second.notify_after(ns(5))
+
+        assert self._method_run_times(kernel, notify_both) == [15.0]
+
+    def test_a_method_renotified_in_a_later_delta_runs_again(self, kernel):
+        first = kernel.event("first")
+        second = kernel.event("second")
+        phase = []
+        calls = []
+        kernel.create_method(lambda: calls.append((kernel.now.nanoseconds, phase[-1])), [first, second], "m")
+
+        def driver():
+            yield ns(10)
+            phase.append("first")
+            first.notify_delta()
+            yield first
+            phase.append("second")
+            second.notify_delta()
+
+        kernel.create_thread(driver, "driver")
+        kernel.run()
+        assert calls == [(10.0, "first"), (10.0, "second")]
+
+    def test_method_sensitive_to_two_signals_written_together_runs_once(self, kernel):
+        # The shape of the GEM's sensor watch: one pass writes both level
+        # signals, and the method sensitive to both must evaluate once.
+        battery = Signal(kernel, "battery", 0)
+        temperature = Signal(kernel, "temperature", 0)
+        calls = []
+        kernel.create_method(
+            lambda: calls.append((kernel.now.nanoseconds, battery.read(), temperature.read())),
+            [battery.changed_event, temperature.changed_event],
+            "watch",
+        )
+
+        def sampler():
+            for level in (1, 2):
+                yield ns(10)
+                battery.write(level)
+                temperature.write(level)
+
+        kernel.create_thread(sampler, "sampler")
+        kernel.run()
+        assert calls == [(10.0, 1, 1), (20.0, 2, 2)]
+
+    def test_a_thread_rewoken_in_a_later_delta_resumes_again(self, kernel):
+        # Deduplication is per wake, not per instant: a thread that waits
+        # again and is notified in the next delta cycle resumes again.
+        gate = kernel.event("gate")
+        log = []
+
+        def waiter():
+            yield gate
+            log.append("first")
+            yield gate
+            log.append("second")
+
+        def driver():
+            yield ns(1)
+            gate.notify_delta()
+            yield gate
+            gate.notify_delta()
+
+        kernel.create_thread(waiter, "waiter")
+        kernel.create_thread(driver, "driver")
+        kernel.run()
+        assert log == ["first", "second"]
+
+
+class TestSameInstantOrdering:
+    """The same-femtosecond ordering contract of the kernel docstring."""
+
+    def test_timed_event_callbacks_run_before_processes_of_the_instant(self, kernel):
+        log = []
+        timer = kernel.event("timer")
+        timer.add_callback(lambda: log.append("callback"))
+
+        def sleeper():
+            yield ns(10)  # pushed before the timer notification
+            log.append("sleeper")
+
+        def waiter():
+            yield timer
+            log.append("waiter")
+
+        def notifier():
+            timer.notify_after(ns(10))
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        kernel.create_thread(sleeper, "sleeper")
+        kernel.create_thread(waiter, "waiter")
+        kernel.create_thread(notifier, "notifier")
+        kernel.run()
+        assert log == ["callback", "sleeper", "waiter"]
+
+    def test_immediate_notify_queues_behind_runnable_processes(self, kernel):
+        log = []
+        go = kernel.event("go")
+
+        def notifier():
+            yield ns(10)
+            log.append("notifier")
+            go.notify()
+
+        def bystander():
+            yield ns(10)
+            log.append("bystander")
+
+        def waiter():
+            yield go
+            log.append("waiter")
+
+        kernel.create_thread(notifier, "notifier")
+        kernel.create_thread(bystander, "bystander")
+        kernel.create_thread(waiter, "waiter")
+        kernel.run()
+        assert log == ["notifier", "bystander", "waiter"]
+
+    def test_delta_events_fire_after_the_update_phase(self, kernel):
+        sig = Signal(kernel, "s", 0)
+        ready = kernel.event("ready")
+        log = []
+
+        def writer():
+            yield ns(10)
+            sig.write(1)
+            ready.notify_delta()
+            log.append(("writer", sig.read()))
+
+        def on_ready():
+            yield ready
+            log.append(("ready", sig.read()))
+
+        def on_change():
+            yield sig.changed_event
+            log.append(("changed", sig.read()))
+
+        kernel.create_thread(writer, "writer")
+        kernel.create_thread(on_ready, "on_ready")
+        kernel.create_thread(on_change, "on_change")
+        kernel.run()
+        # The delta event was notified before the update phase scheduled
+        # the signal's change event, so it fires first — and both waiters
+        # already read the written value.
+        assert log == [("writer", 0), ("ready", 1), ("changed", 1)]
+        assert kernel.now == ns(10)
 
 
 class TestKernelControl:

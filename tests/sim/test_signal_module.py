@@ -1,14 +1,11 @@
-"""Tests for signals, ports, modules, clock and tracing."""
+"""Tests for signals, modules, the simulator facade and tracing."""
 
 import pytest
 
-from repro.errors import ConfigurationError, ElaborationError, SimulationError
+from repro.errors import ElaborationError, SimulationError
 from repro.sim import (
-    Clock,
-    InPort,
     Kernel,
     Module,
-    OutPort,
     Signal,
     Simulator,
     TraceRecorder,
@@ -77,31 +74,24 @@ class TestSignalSemantics:
         assert sig.read() == 3
         assert sig.change_count == 1
 
-    def test_posedge_negedge_events(self, kernel):
-        sig = Signal(kernel, "b", False)
+    def test_changed_event_fires_on_both_edges_of_a_bool_signal(self, kernel):
+        sig = Signal(kernel, "flag", False)
         edges = []
 
-        def pos_watch():
+        def watcher():
             while True:
-                yield sig.posedge_event
-                edges.append(("pos", kernel.now.nanoseconds))
-
-        def neg_watch():
-            while True:
-                yield sig.negedge_event
-                edges.append(("neg", kernel.now.nanoseconds))
+                yield sig.changed_event
+                edges.append((kernel.now.nanoseconds, sig.read()))
 
         def driver():
-            yield ns(1)
-            sig.write(True)
-            yield ns(1)
-            sig.write(False)
+            for value in (True, True, False, True):
+                yield ns(5)
+                sig.write(value)
 
-        kernel.create_thread(pos_watch, "pos")
-        kernel.create_thread(neg_watch, "neg")
+        kernel.create_thread(watcher, "watcher")
         kernel.create_thread(driver, "driver")
         kernel.run()
-        assert edges == [("pos", 1.0), ("neg", 2.0)]
+        assert edges == [(5.0, True), (15.0, False), (20.0, True)]
 
     def test_observers_receive_changes(self, kernel):
         sig = Signal(kernel, "s", 0)
@@ -117,58 +107,14 @@ class TestSignalSemantics:
         assert seen == [(3.0, 11)]
 
 
-class TestPorts:
-    def test_port_binding_and_resolution(self, kernel):
-        sig = Signal(kernel, "wire", 0)
-        in_port = InPort("in")
-        out_port = OutPort("out")
-        in_port.bind(sig)
-        out_port.bind(sig)
-        assert in_port.resolve() is sig
-        out_port.write(3)
-        assert in_port.is_resolved
-
-    def test_hierarchical_binding_chain(self, kernel):
-        sig = Signal(kernel, "wire", 1)
-        outer = InPort("outer")
-        inner = InPort("inner")
-        outer.bind(sig)
-        inner.bind(outer)
-        assert inner.resolve() is sig
-        assert inner.read() == 1
-
-    def test_unbound_port_raises(self):
-        port = InPort("floating")
-        with pytest.raises(ElaborationError):
-            port.resolve()
-
-    def test_double_bind_rejected(self, kernel):
-        sig = Signal(kernel, "wire", 0)
-        port = InPort("p")
-        port.bind(sig)
-        with pytest.raises(ElaborationError):
-            port.bind(sig)
-
-    def test_self_bind_rejected(self):
-        port = InPort("p")
-        with pytest.raises(ElaborationError):
-            port.bind(port)
-
-    def test_call_syntax_binds(self, kernel):
-        sig = Signal(kernel, "wire", 9)
-        port = InPort("p")
-        port(sig)
-        assert port.read() == 9
-
-
 class TestModules:
     def test_hierarchy_and_names(self, kernel):
         top = Module(kernel, "top")
         child = Module(kernel, "child", parent=top)
         grandchild = Module(kernel, "leaf", parent=child)
         assert grandchild.name == "top.child.leaf"
-        assert [m.name for m in top.walk()] == ["top", "top.child", "top.child.leaf"]
-        assert top.find("child.leaf") is grandchild
+        assert top.children == [child]
+        assert child.children == [grandchild]
 
     def test_duplicate_child_name_rejected(self, kernel):
         top = Module(kernel, "top")
@@ -180,15 +126,44 @@ class TestModules:
         with pytest.raises(ElaborationError):
             Module(kernel, "")
 
-    def test_find_missing_raises(self, kernel):
-        top = Module(kernel, "top")
-        with pytest.raises(ElaborationError):
-            top.find("ghost")
-
     def test_module_signal_names_are_hierarchical(self, kernel):
         top = Module(kernel, "top")
         sig = top.signal("state", 0)
         assert sig.name == "top.state"
+
+    def test_module_event_and_process_names_are_hierarchical(self, kernel):
+        top = Module(kernel, "top")
+        child = Module(kernel, "child", parent=top)
+        tick = child.event("tick")
+
+        def worker():
+            yield ns(1)
+
+        thread = child.add_thread(worker)
+        method = child.add_method(lambda: None, [tick], name="on_tick")
+        assert tick.name == "top.child.tick"
+        assert thread.name == "top.child.worker"
+        assert method.name == "top.child.on_tick"
+        assert child.processes == [thread, method]
+        assert top.processes == []
+
+    def test_module_method_runs_only_when_notified(self, kernel):
+        top = Module(kernel, "top")
+        tick = top.event("tick")
+        level = top.signal("level", 0)
+        calls = []
+        top.add_method(lambda: calls.append(kernel.now.nanoseconds), [tick, level.changed_event])
+
+        def driver():
+            yield ns(4)
+            tick.notify()
+            yield ns(4)
+            level.write(1)
+
+        top.add_thread(driver)
+        kernel.run()
+        assert calls == [4.0, 8.0]
+        assert top.signals == [level]
 
     def test_design_tree_contains_children(self, kernel):
         top = Module(kernel, "top")
@@ -217,18 +192,6 @@ class TestSimulatorFacade:
         sim.run(ns(55))
         assert counter.count.read() == 5
 
-    def test_elaboration_detects_unbound_ports(self):
-        sim = Simulator()
-
-        class Broken(Module):
-            def __init__(self, kernel, name):
-                super().__init__(kernel, name)
-                self.inp = self.register_port(InPort("inp"))
-
-        sim.add_module(Broken(sim.kernel, "broken"))
-        with pytest.raises(ElaborationError):
-            sim.elaborate()
-
     def test_add_module_rejects_non_top(self):
         sim = Simulator()
         top = Module(sim.kernel, "top")
@@ -236,52 +199,18 @@ class TestSimulatorFacade:
         with pytest.raises(ElaborationError):
             sim.add_module(child)
 
-    def test_empty_simulator_elaborates_as_noop(self):
+    def test_empty_simulator_runs(self):
         sim = Simulator()
-        sim.elaborate()
         report = sim.run(ns(10))
         assert report.simulated_time == ns(10)
 
     def test_report_contains_throughput(self):
         sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
         report = sim.run(us(1), clock_period=ns(10))
         assert report.cycles_simulated == pytest.approx(100.0)
         assert report.simulated_time == us(1)
         assert report.wall_clock_seconds >= 0.0
         assert "delta_cycles" in report.as_dict()
-
-    def test_find_by_path(self):
-        sim = Simulator()
-        top = Module(sim.kernel, "top")
-        child = Module(sim.kernel, "child", parent=top)
-        sim.add_module(top)
-        assert sim.find("top.child") is child
-        with pytest.raises(ElaborationError):
-            sim.find("nope")
-
-
-class TestClock:
-    def test_clock_toggles_with_period(self):
-        sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
-        edges = []
-        clock.out.add_observer(lambda when, value: edges.append((when.nanoseconds, value)))
-        sim.run(ns(24))
-        assert edges == [(5.0, False), (10.0, True), (15.0, False), (20.0, True)]
-
-    def test_invalid_parameters_rejected(self):
-        kernel = Kernel()
-        with pytest.raises(ConfigurationError):
-            Clock(kernel, "clk", period=ns(0))
-        with pytest.raises(ConfigurationError):
-            Clock(kernel, "clk2", period=ns(10), duty_cycle=1.5)
-
-    def test_frequency_and_cycles(self):
-        kernel = Kernel()
-        clock = Clock(kernel, "clk", period=ns(10))
-        assert clock.frequency_hz == pytest.approx(1e8)
-        assert clock.cycles_elapsed(us(1)) == pytest.approx(100.0)
 
 
 class TestTraceRecorder:

@@ -408,7 +408,7 @@ class TestBusCancellation:
 
 
 class TestCycleAccurateBus:
-    """The tentpole: posedge-arbitrated grants driven from Clock.out."""
+    """Posedge-arbitrated grants on the bus clock's edge schedule."""
 
     def make_bus(self, words_per_cycle=4, words_per_second=1e6, **kwargs):
         sim = Simulator()
@@ -439,28 +439,25 @@ class TestCycleAccurateBus:
         assert bus.clock is None
         assert not bus.is_cycle_accurate
 
-    def test_cycle_accurate_bus_keeps_its_clock_virtual(self):
-        # Batched arbitration computes grant edges analytically from the
-        # clock's schedule (Clock.next_posedge_fs), so the clock must stay
-        # on the virtual fast path: no toggle thread, no per-cycle wakes.
-        _, bus = self.make_bus()
+    def test_cycle_accurate_bus_holds_a_clock_of_the_bus_period(self):
+        # Batched arbitration computes grant edges from the clock's schedule
+        # (Clock.next_posedge_fs); the clock starts at the bus's creation.
+        sim, bus = self.make_bus()
         assert bus.is_cycle_accurate
         assert bus.clock is not None
-        assert not bus.clock.is_materialized
         # words_per_second / words_per_cycle = 250 kHz -> 4 us period
         assert bus.clock.period == us(4)
+        assert bus.clock.start_fs == sim.kernel.now_fs == 0
 
     def test_batched_arbitration_wakes_only_on_interesting_edges(self):
         # An idle cycle-accurate bus must cost zero kernel work per cycle:
         # running 1000 bus periods with no traffic performs no time advances
         # beyond the run horizon itself.
-        sim, bus = self.make_bus()
-        sim.elaborate()
+        sim, _ = self.make_bus()
         sim.kernel.initialize()
         before = sim.kernel.stats.time_advances
         sim.kernel.run(ms(4))  # 1000 idle bus cycles at 4 us
         assert sim.kernel.stats.time_advances == before
-        assert not bus.clock.is_materialized
 
     def test_durations_quantised_to_whole_cycles(self):
         _, bus = self.make_bus(words_per_cycle=4)
