@@ -1,11 +1,12 @@
 """Battery monitor simulation module.
 
 The monitor closes the loop between the energy ledger and the battery model:
-every ``sample_interval`` it drains the battery by the energy the SoC
-consumed since the previous sample and publishes the quantised
+each :meth:`BatteryMonitor.sample_now` drains the battery by the energy the
+SoC consumed since the previous sample and publishes the quantised
 :class:`~repro.battery.status.BatteryLevel` on a signal that the LEMs and the
-GEM read.  Lazily integrated energy (PSM background power, the fan) must be
-posted to the ledger first; the SoC's sampler does that once per window.
+GEM read.  The monitor has no process of its own: the SoC's sampler calls it
+every ``sample_interval``, after posting the lazily integrated energy (PSM
+background power, the fan) to the ledger.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class BatteryMonitor(Module):
         battery: Battery,
         ledger: EnergyLedger,
         sample_interval: Optional[SimTime] = None,
-        autonomous: bool = True,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
@@ -46,11 +46,6 @@ class BatteryMonitor(Module):
         self._last_total_j = ledger.total_j
         self._last_sample_fs = kernel.now_fs
         self._history: List[Tuple[int, float]] = []
-        # ``autonomous=False`` suppresses the sampling thread: an external
-        # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
-        # on the same schedule, halving the per-sample process activations.
-        if autonomous:
-            self.add_thread(self._sample_loop, name="sampler")
 
     @property
     def level(self) -> BatteryLevel:
@@ -83,8 +78,3 @@ class BatteryMonitor(Module):
         level = battery.level
         self.level_signal.write(level)
         return level
-
-    def _sample_loop(self):
-        while True:
-            yield self.sample_interval
-            self.sample_now()

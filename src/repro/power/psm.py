@@ -17,13 +17,13 @@ switches it between the ACPI-style power states.  It is deliberately dumb:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, PowerModelError
 from repro.power.characterization import PowerCharacterization
 from repro.power.energy import EnergyAccount, EnergyCategory
 from repro.power.states import PowerState
-from repro.power.transitions import TransitionTable
+from repro.power.transitions import TransitionCost, TransitionTable
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
 from repro.sim.simtime import SimTime
@@ -67,15 +67,16 @@ class PowerStateMachine(Module):
         self.characterization = characterization
         self.transitions = transitions
         self.energy_account = energy_account
-        # Authoritative state lives in plain attributes (updated immediately);
-        # the signals mirror them one delta later for traces and observers.
+        # Authoritative state lives in a plain attribute (updated immediately);
+        # the signal mirrors it one delta later for traces and observers.
         self._state = initial_state
-        self._in_transition = False
         self.state_signal = self.signal("state", initial_state)
-        self.in_transition = self.signal("in_transition", False)
         self.transition_complete = self.event("transition_complete")
-        self._request_event = self.event("request")
-        self._requested_state: Optional[PowerState] = None
+        # The transition in flight as (target, cost), and the request queued
+        # behind it; both None while the PSM is idle.
+        self._in_flight: Optional[Tuple[PowerState, TransitionCost]] = None
+        self._queued: Optional[PowerState] = None
+        self._completion = self.event("completion")
         self._busy = False
         self._last_account_fs: int = kernel.now_fs
         # Hot-path state keyed by the dense PowerState._idx: residency in raw
@@ -89,7 +90,9 @@ class PowerStateMachine(Module):
         self._label_cache: Dict[int, str] = {}
         self._transition_count = 0
         self._transition_counts: Dict[str, int] = defaultdict(int)
-        self.add_thread(self._transition_process, name="transitions")
+        # Completion wakes a method at the transition's end, so it keeps its
+        # push-order place among the processes due at that instant.
+        self.add_method(self._complete_in_flight, [self._completion], name="transitions")
 
     #: structured-tracing hook (repro.obs); None keeps the hook site to a
     #: single attribute test, so untraced runs stay bit-identical
@@ -109,7 +112,7 @@ class PowerStateMachine(Module):
     @property
     def is_transitioning(self) -> bool:
         """True while a transition is in flight."""
-        return self._in_transition
+        return self._in_flight is not None
 
     @property
     def transition_count(self) -> int:
@@ -133,20 +136,27 @@ class PowerStateMachine(Module):
     # Requests (called by the LEM / GEM)
     # ------------------------------------------------------------------
     def request_state(self, target: PowerState) -> None:
-        """Ask the PSM to move to ``target``.
+        """Move to ``target``; the request takes effect in the caller's activation.
 
-        The request is served by the PSM's own process; callers that need to
-        know when the IP is actually in the new state should wait with
-        :meth:`wait_for_state`.
+        It is checked against the state it starts from: the current state,
+        or the target of the transition in flight.  An idle PSM starts the
+        transition at once (a zero-latency one completes before returning).
+        During a transition the request is queued, replacing any earlier
+        one, and starts when that transition completes, at the same instant.
+        Wait for the new state with :meth:`wait_for_state`.
         """
         if not isinstance(target, PowerState):
             raise PowerModelError(f"requested state must be a PowerState, got {target!r}")
-        if not self.transitions.is_allowed(self.state, target) and self._requested_state is None:
+        in_flight = self._in_flight
+        source = self._state if in_flight is None else in_flight[0]
+        if not self.transitions.is_allowed(source, target):
             raise InvalidTransitionError(
-                f"{self.name}: transition {self.state} -> {target} is not allowed"
+                f"{self.name}: transition {source} -> {target} is not allowed"
             )
-        self._requested_state = target
-        self._request_event.notify()
+        if in_flight is None:
+            self._start_transition(target)
+        else:
+            self._queued = target
 
     def wait_for_state(self, target: PowerState):
         """Generator helper: ``yield from psm.wait_for_state(ON2)``."""
@@ -208,13 +218,16 @@ class PowerStateMachine(Module):
         self._last_account_fs = now_fs
 
     def _complete_transition(self, source: PowerState, target: PowerState, cost) -> None:
-        """Transition-completion bookkeeping."""
+        """Transition-completion bookkeeping.
+
+        The transition interval itself is charged as transition energy; the
+        accounting marker moves past it without billing idle power.
+        """
         self._last_account_fs = self.kernel.now_fs
         self._residency_fs[source._idx] += cost.latency
         self._residency_touched.add(source._idx)
         self.energy_account.add_energy(cost.energy_j, EnergyCategory.TRANSITION)
         self._state = target
-        self._in_transition = False
         self._transition_count += 1
         label_key = source._idx * 16 + target._idx
         label = self._label_cache.get(label_key)
@@ -232,35 +245,35 @@ class PowerStateMachine(Module):
                 energy_j=cost.energy_j,
             )
         self.state_signal.write(target)
-        self.in_transition.write(False)
         self.transition_complete.notify_delta()
 
     # ------------------------------------------------------------------
-    # Internal transition process
+    # Transitions
     # ------------------------------------------------------------------
-    def _transition_process(self):
-        while True:
-            if self._requested_state is None:
-                yield self._request_event
-                continue
-            target = self._requested_state
-            self._requested_state = None
-            source = self.state
-            if target is source:
-                self.transition_complete.notify()
-                continue
-            cost_key = source._idx * 16 + target._idx
-            cost = self._cost_cache.get(cost_key)
-            if cost is None:
-                cost = self.transitions.cost(source, target)
-                self._cost_cache[cost_key] = cost
-            # Close the books on the time spent in the old state.
-            self._integrate_background()
-            self._in_transition = True
-            self.in_transition.write(True)
-            if not cost.latency.is_zero:
-                yield cost.latency
-            # The transition interval itself is charged as transition energy;
-            # the completion tail moves the accounting marker past it without
-            # billing idle power.
+    def _start_transition(self, target: PowerState) -> None:
+        source = self._state
+        if target is source:
+            self.transition_complete.notify()
+            return
+        cost_key = source._idx * 16 + target._idx
+        cost = self._cost_cache.get(cost_key)
+        if cost is None:
+            cost = self.transitions.cost(source, target)
+            self._cost_cache[cost_key] = cost
+        # Close the books on the time spent in the old state.
+        self._integrate_background()
+        if cost.latency.is_zero:
             self._complete_transition(source, target, cost)
+        else:
+            self._in_flight = (target, cost)
+            self._completion.notify_after(cost.latency)
+
+    def _complete_in_flight(self) -> None:
+        """Finish the transition in flight, then start the queued request."""
+        target, cost = self._in_flight
+        self._in_flight = None
+        self._complete_transition(self._state, target, cost)
+        queued = self._queued
+        if queued is not None:
+            self._queued = None
+            self._start_transition(queued)

@@ -100,9 +100,7 @@ class FunctionalIP(Module):
         self.bus_priority = bus_priority
         self.lem = None
         self.executions: List[TaskExecution] = []
-        self.done_signal = self.signal("done", False)
-        self.done_event = self.event("done")
-        self.busy_signal = self.signal("busy", False)
+        self._done = False
         self._tasks_executed = 0
         self.add_thread(self._run, name="traffic")
 
@@ -121,7 +119,7 @@ class FunctionalIP(Module):
     @property
     def done(self) -> bool:
         """True once the whole task source has been executed."""
-        return self.done_signal.read()
+        return self._done
 
     @property
     def tasks_executed(self) -> int:
@@ -153,8 +151,7 @@ class FunctionalIP(Module):
             yield from self._run_workload()
         else:
             yield from self._run_channel()
-        self.done_signal.write(True)
-        self.done_event.notify()
+        self._done = True
 
     def _run_workload(self):
         for item in self.workload:
@@ -206,10 +203,8 @@ class FunctionalIP(Module):
                 energy_j=energy,
             )
         self.psm.set_busy(True)
-        self.busy_signal.write(True)
         yield duration
         self.psm.set_busy(False)
-        self.busy_signal.write(False)
         self.energy_account.add_energy(energy, EnergyCategory.ACTIVE)
         record.completion_time = self.kernel.now
         record.power_state = state

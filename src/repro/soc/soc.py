@@ -122,17 +122,15 @@ class SoC(Module):
         self.ledger = EnergyLedger()
         self.battery = Battery(config.battery)
         self.thermal = ThermalModel(config.thermal)
-        # Both sensors sample on the same schedule, so the SoC drives them
-        # from one shared thread: one pass per window posts the lazily
-        # integrated books, then samples the monitor, then the sensor (the
-        # order in which their autonomous loops would have been activated).
+        # The sensors have no process of their own: the SoC's one sampler
+        # thread posts the lazily integrated books once per window, then
+        # samples the monitor, then the sensor.
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
             self.battery,
             self.ledger,
             sample_interval=config.sample_interval,
-            autonomous=False,
             parent=self,
         )
         self.temperature_sensor = TemperatureSensor(
@@ -141,7 +139,6 @@ class SoC(Module):
             self.thermal,
             self.ledger,
             sample_interval=config.sample_interval,
-            autonomous=False,
             parent=self,
         )
         self.add_thread(self._shared_sample_loop, name="sampler")

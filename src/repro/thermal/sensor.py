@@ -1,10 +1,11 @@
 """Temperature sensor simulation module.
 
-Like the battery monitor, the sensor periodically converts the energy the SoC
-consumed since the previous sample into an average power, advances the
-lumped-RC thermal model by one step and publishes the quantised
-:class:`~repro.thermal.level.TemperatureLevel`; the ledger is read as the
-SoC's sampler left it (see :mod:`repro.battery.monitor`).
+Like the battery monitor, each :meth:`TemperatureSensor.sample_now` converts
+the energy the SoC consumed since the previous sample into an average power,
+advances the lumped-RC thermal model by one step and publishes the quantised
+:class:`~repro.thermal.level.TemperatureLevel`; the SoC's sampler calls it
+every ``sample_interval`` and leaves the ledger posted (see
+:mod:`repro.battery.monitor`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class TemperatureSensor(Module):
         model: ThermalModel,
         ledger: EnergyLedger,
         sample_interval: Optional[SimTime] = None,
-        autonomous: bool = True,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
@@ -46,11 +46,6 @@ class TemperatureSensor(Module):
         self.level_signal = self.signal("level", model.level)
         self._last_total_j = ledger.total_j
         self._history: List[Tuple[int, float]] = []
-        # ``autonomous=False`` suppresses the sampling thread: an external
-        # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
-        # on the same schedule, halving the per-sample process activations.
-        if autonomous:
-            self.add_thread(self._sample_loop, name="sampler")
 
     @property
     def level(self) -> TemperatureLevel:
@@ -78,8 +73,3 @@ class TemperatureSensor(Module):
         level = model.level
         self.level_signal.write(level)
         return level
-
-    def _sample_loop(self):
-        while True:
-            yield self.sample_interval
-            self.sample_now()

@@ -158,6 +158,7 @@ class TestBatteryMonitor:
             while True:
                 yield ms(1)
                 ledger.account("ip0").add_energy(0.05)
+                monitor.sample_now()
 
         sim.kernel.create_thread(consumer, "consumer")
         sim.run(ms(100))
@@ -176,6 +177,7 @@ class TestBatteryMonitor:
             while True:
                 yield ms(1)
                 ledger.account("ip0").add_energy(0.02)
+                monitor.sample_now()
 
         sim.kernel.create_thread(consumer, "consumer")
         sim.run(ms(60))

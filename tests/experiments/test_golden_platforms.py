@@ -27,9 +27,13 @@ PLATFORMS = {spec.name: spec for spec in library_platforms()}
 
 def snapshot(platform_name, setup_name):
     """The pinned figures of one run, as plain JSON data."""
-    run = run_scenario(
-        PLATFORMS[platform_name], _SETUPS[setup_name](), trace=False
+    return figures(
+        run_scenario(PLATFORMS[platform_name], _SETUPS[setup_name](), trace=False)
     )
+
+
+def figures(run):
+    """Event times, transition counts, residencies and end figures of ``run``."""
     per_ip = {}
     for instance in run.soc.instances:
         executions = instance.ip.executions

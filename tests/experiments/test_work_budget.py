@@ -28,18 +28,18 @@ SETUPS = {"dpm": DpmSetup.paper, "baseline": DpmSetup.always_on}
 
 #: one tuple per run, in FIELDS order
 BUDGETS = {
-    "A1/dpm": (487, 284, 245, 200, 318, 13, 5, 244),
-    "A1/baseline": (285, 161, 161, 121, 81, 13, 5, 160),
-    "A2/dpm": (550, 346, 306, 201, 321, 13, 5, 305),
-    "A2/baseline": (285, 161, 161, 121, 81, 13, 5, 160),
-    "A3/dpm": (487, 284, 245, 200, 318, 13, 5, 244),
-    "A3/baseline": (285, 161, 161, 121, 82, 13, 5, 160),
-    "A4/dpm": (550, 346, 306, 201, 321, 13, 5, 305),
-    "A4/baseline": (285, 161, 161, 121, 82, 13, 5, 160),
-    "B/dpm": (1249, 658, 665, 612, 759, 57, 19, 568),
-    "B/baseline": (859, 419, 469, 475, 370, 51, 19, 391),
-    "C/dpm": (1266, 665, 673, 618, 778, 59, 19, 576),
-    "C/baseline": (782, 371, 429, 460, 297, 50, 19, 356),
+    "A1/dpm": (408, 284, 245, 120, 79, 9, 5, 244),
+    "A1/baseline": (285, 161, 161, 120, 0, 9, 5, 160),
+    "A2/dpm": (470, 346, 306, 120, 80, 9, 5, 305),
+    "A2/baseline": (285, 161, 161, 120, 0, 9, 5, 160),
+    "A3/dpm": (408, 284, 245, 120, 79, 9, 5, 244),
+    "A3/baseline": (285, 161, 161, 120, 1, 9, 5, 160),
+    "A4/dpm": (470, 346, 306, 120, 80, 9, 5, 305),
+    "A4/baseline": (285, 161, 161, 120, 1, 9, 5, 160),
+    "B/dpm": (1064, 658, 665, 417, 188, 41, 19, 568),
+    "B/baseline": (803, 419, 469, 410, 58, 35, 19, 391),
+    "C/dpm": (1074, 665, 673, 417, 194, 43, 19, 576),
+    "C/baseline": (751, 371, 429, 419, 34, 34, 19, 356),
 }
 
 

@@ -2,26 +2,28 @@
 
 import pytest
 
-from repro.errors import PowerModelError
+from repro.errors import InvalidTransitionError, PowerModelError
 from repro.power import (
     EnergyAccount,
     EnergyCategory,
     PowerState,
     PowerStateMachine,
+    TransitionCost,
+    TransitionTable,
     default_characterization,
     default_transition_table,
 )
-from repro.sim import Simulator, ms, us
+from repro.sim import ZERO_TIME, Simulator, ms, us
 
 
-def build_psm(initial_state=PowerState.ON1):
+def build_psm(initial_state=PowerState.ON1, transitions=None):
     sim = Simulator()
     account = EnergyAccount("ip0")
     psm = PowerStateMachine(
         sim.kernel,
         "psm",
         characterization=default_characterization(),
-        transitions=default_transition_table(),
+        transitions=transitions or default_transition_table(),
         energy_account=account,
         initial_state=initial_state,
     )
@@ -166,3 +168,142 @@ class TestEnergyIntegration:
         residency = psm.residency()
         assert residency[PowerState.ON1].seconds > 0.004
         assert residency[PowerState.SL1].seconds > 0.004
+
+
+def table(**latencies_us):
+    """A transition table of the given ``SRC_DST=latency_us`` entries."""
+    costs = {}
+    for key, latency in latencies_us.items():
+        source, target = key.split("_")
+        costs[(PowerState[source], PowerState[target])] = TransitionCost(
+            1e-6, us(latency) if latency else ZERO_TIME
+        )
+    return TransitionTable(costs)
+
+
+class TestRequestContract:
+    """A request takes effect in the caller's activation."""
+
+    def test_zero_latency_request_completes_before_returning(self):
+        sim, psm, _ = build_psm(transitions=table(ON1_ON2=0))
+        observed = []
+
+        def driver():
+            psm.request_state(PowerState.ON2)
+            observed.append((psm.state, psm.is_transitioning, psm.transition_count))
+            yield us(1)
+
+        sim.kernel.create_thread(driver, "driver")
+        sim.run(ms(1))
+        assert observed == [(PowerState.ON2, False, 1)]
+
+    def test_transition_is_in_flight_from_the_call_on(self):
+        sim, psm, _ = build_psm()
+        observed = []
+
+        def driver():
+            psm.request_state(PowerState.SL1)
+            observed.append((psm.state, psm.is_transitioning))
+            yield us(1)
+
+        sim.kernel.create_thread(driver, "driver")
+        sim.run(ms(1))
+        assert observed == [(PowerState.ON1, True)]
+
+    def test_request_during_transition_starts_when_it_completes(self):
+        # ON1->SL1 takes 20 us and SL1->ON2 30 us: the queued request must
+        # start at 20 us exactly for ON2 to be reached at 50 us.
+        sim, psm, _ = build_psm()
+        reached = []
+
+        def driver():
+            psm.request_state(PowerState.SL1)
+            yield us(5)
+            psm.request_state(PowerState.ON2)
+            yield from psm.wait_for_state(PowerState.ON2)
+            reached.append(sim.kernel.now_fs)
+
+        sim.kernel.create_thread(driver, "driver")
+        sim.run(ms(1))
+        assert reached == [int(us(50))]
+        assert psm.transition_counts == {"ON1->SL1": 1, "SL1->ON2": 1}
+
+    def test_completion_keeps_push_order_among_same_instant_wakes(self):
+        # The watcher armed its 20 us wait before the 20 us transition was
+        # requested, so at the shared instant it resumes first and still
+        # sees the transition in flight.
+        sim, psm, _ = build_psm()
+        seen = []
+
+        def watcher():
+            yield us(20)
+            seen.append((psm.state, psm.is_transitioning))
+
+        def requester():
+            psm.request_state(PowerState.SL1)
+            yield us(100)
+
+        sim.kernel.create_thread(watcher, "watcher")
+        sim.kernel.create_thread(requester, "requester")
+        sim.run(ms(1))
+        assert seen == [(PowerState.ON1, True)]
+        assert psm.state is PowerState.SL1
+
+
+class TestRequestValidation:
+    """A request is checked against the state it will start from."""
+
+    def _request_mid_transition(self, transitions, target):
+        sim, psm, _ = build_psm(transitions=transitions)
+        outcome = []
+
+        def driver():
+            psm.request_state(PowerState.SL1)
+            yield us(5)
+            try:
+                psm.request_state(target)
+            except InvalidTransitionError:
+                outcome.append("rejected")
+            else:
+                outcome.append("accepted")
+
+        sim.kernel.create_thread(driver, "driver")
+        sim.run(ms(1))
+        return psm, outcome
+
+    def test_request_illegal_from_transition_target_is_rejected(self):
+        transitions = table(ON1_SL1=20, SL1_ON1=20, ON1_ON2=10)
+        psm, outcome = self._request_mid_transition(transitions, PowerState.ON2)
+        assert outcome == ["rejected"]
+        assert psm.state is PowerState.SL1
+
+    def test_request_legal_from_transition_target_is_served(self):
+        transitions = table(ON1_SL1=20, SL1_ON2=30)
+        psm, outcome = self._request_mid_transition(transitions, PowerState.ON2)
+        assert outcome == ["accepted"]
+        assert psm.state is PowerState.ON2
+
+    def test_illegal_request_while_idle_is_rejected(self):
+        _, psm, _ = build_psm(transitions=table(ON1_SL1=20))
+        with pytest.raises(InvalidTransitionError):
+            psm.request_state(PowerState.ON2)
+        assert psm.state is PowerState.ON1 and not psm.is_transitioning
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a flush during a transition books the elapsed time to the source "
+    "state, and completion books the full latency again",
+)
+def test_residency_sums_to_run_length_across_a_mid_transition_flush():
+    sim, psm, _ = build_psm()
+
+    def driver():
+        psm.request_state(PowerState.SL1)
+        yield us(10)
+        psm.flush_energy()
+
+    sim.kernel.create_thread(driver, "driver")
+    sim.run(us(100))
+    psm.flush_energy()
+    assert sum(int(spent) for spent in psm.residency().values()) == int(us(100))

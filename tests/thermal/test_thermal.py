@@ -143,6 +143,7 @@ class TestSensorAndFan:
             while True:
                 yield ms(1)
                 ledger.account("ip0").add_energy(0.0005)  # 0.5 W average
+                sensor.sample_now()
 
         sim.kernel.create_thread(heater, "heater")
         sim.run(sec(2))
