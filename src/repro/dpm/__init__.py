@@ -7,7 +7,7 @@ Global Energy Manager (GEM), idle-time predictors, baseline policies and the
 
 from repro.dpm.controller import DpmSetup
 from repro.dpm.gem import GemConfig, GlobalEnergyManager, ResourceView
-from repro.dpm.lem import LemConfig, LemDecision, LocalEnergyManager, TaskGrant
+from repro.dpm.lem import LemConfig, LemDecision, LocalEnergyManager
 from repro.dpm.levels import BatteryLevel, BusLevel, RuleContext, TaskPriority, TemperatureLevel
 from repro.dpm.policies import (
     AlwaysOnPolicy,
@@ -51,7 +51,6 @@ __all__ = [
     "RuleBasedPolicy",
     "RuleContext",
     "RuleTable",
-    "TaskGrant",
     "TaskPriority",
     "TemperatureLevel",
     "default_predictor",

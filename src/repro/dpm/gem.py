@@ -13,14 +13,15 @@ intentionally simple algorithm::
         do not enable any IP
         switch on a supplementary fan
 
-Interpretation notes (documented in ``DESIGN.md``):
+Interpretation notes:
 
 * "IPs with high priority" is implemented as: IPs whose static priority is
   within the best ``high_priority_count`` ranks are always enabled; a
-  lower-priority IP is additionally enabled as soon as *no* higher-priority
-  IP has a pending or running task (a work-conserving reading that keeps the
-  delay of low-priority IPs finite, as in the paper's Table 2 where all IPs
-  complete their sequences).
+  lower-priority IP is additionally enabled by the first evaluation that
+  finds *no* higher-priority IP with a pending (not yet granted) task
+  request.  A granted, running task does not hold lower ranks back.  This
+  work-conserving reading keeps the delay of low-priority IPs finite, as in
+  the paper's Table 2 where all IPs complete their sequences.
 * "The GEM can force each PSM in Sleep1 state if the resources are limited
   and the IP has low priority" — whenever an IP is not enabled and is idle,
   its LEM is asked to park the PSM in ``SL1``.
@@ -220,8 +221,8 @@ class GlobalEnergyManager(Module):
         """The LEM reports that a pending request was granted.
 
         Pure bookkeeping: the best pending rank is refreshed so the next
-        (periodic or event-driven) evaluation sees it, but — exactly like
-        before — no evaluation runs at grant time.
+        (periodic or event-driven) evaluation sees it, but no evaluation
+        runs at grant time.
         """
         if self._priorities[ip_name] <= self._min_pending_rank:
             self._refresh_min_pending_rank()

@@ -8,7 +8,8 @@ One LEM is attached to each IP (paper, section 1.3).  Its job:
   the policy's rules (Table 1).  If the rules answer a sleep state — the
   battery is empty or the chip is too hot for a non-critical task — the task
   is *deferred*: the IP is parked in that sleep state and the situation is
-  re-evaluated periodically until an ON state is selected;
+  re-evaluated periodically until an ON state is selected.  This runs in
+  the IP's own thread (:meth:`LocalEnergyManager.serve`);
 * when the IP becomes inactive, predict the idle time, compare it with the
   break-even time of each low-power state and switch the PSM to the deepest
   state that pays off (or apply the fixed timeout, for timeout policies);
@@ -36,12 +37,12 @@ from repro.power.states import PowerState
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.process import AnyOf
+from repro.sim.process import YIELD, AnyOf
 from repro.sim.simtime import SimTime, us
 from repro.soc.task import Task, TaskPriority
 from repro.thermal.model import ThermalModel
 
-__all__ = ["LemConfig", "TaskGrant", "LemDecision", "LocalEnergyManager"]
+__all__ = ["LemConfig", "LemDecision", "LocalEnergyManager"]
 
 
 @dataclass
@@ -65,17 +66,6 @@ class LemConfig:
             raise ConfigurationError("the defer state must be a sleep/off state")
         if not self.estimation_state.is_on:
             raise ConfigurationError("the estimation state must be an ON state")
-
-
-@dataclass
-class TaskGrant:
-    """Handle returned to the IP for one task request."""
-
-    task: Task
-    event: Event
-    request_time: SimTime
-    granted: bool = False
-    state: Optional[PowerState] = None
 
 
 @dataclass
@@ -145,19 +135,12 @@ class LocalEnergyManager(Module):
         self.config = config or LemConfig()
         self.decisions: List[LemDecision] = []
         self.sleep_decisions = 0
-        self.deferral_count = 0
-        self._pending_grant: Optional[TaskGrant] = None
+        self._pending_task: Optional[Task] = None
         self._executing = False
-        self._request_event = self.event("task_request")
-        # One reusable grant event: requests are strictly sequential (the
-        # LEM rejects overlapping requests), so each grant's wait/notify pair
-        # finishes before the next one starts.
-        self._grant_event = self.event("grant")
         self._idle_event = self.event("idle_start")
         self._idle_record: Optional[_IdleRecord] = None
         self._idle_sequence = 0
         self._last_completion: Optional[SimTime] = None
-        self.add_thread(self._serve_requests, name="serve")
         self.add_thread(self._manage_idle, name="idle")
         if self.gem is not None:
             self.gem.register_lem(self, static_priority)
@@ -169,9 +152,76 @@ class LocalEnergyManager(Module):
     # ------------------------------------------------------------------
     # IP-facing interface
     # ------------------------------------------------------------------
-    def submit_task_request(self, task: Task) -> TaskGrant:
-        """Called by the IP before executing ``task``; returns the grant handle."""
-        if self._pending_grant is not None:
+    def serve(self, task: Task):
+        """Grant ``task`` in the IP's own thread: ``yield from lem.serve(task)``.
+
+        Returns once the PSM is in the selected ON state.  The yield after
+        the request lets every process runnable at this instant run first,
+        so the GEM's gate also sees requests other IPs make at this instant.
+        """
+        request_time = self.kernel.now
+        self.submit_task_request(task)
+        yield YIELD
+        deferrals = 0
+        while True:
+            # 1. Wait for the GEM enable (if a GEM is present).
+            while self.gem is not None and not self.gem.is_enabled(self.ip_name):
+                yield AnyOf([self.gem.enable_changed, self._reeval_timer()])
+            # 2. Apply the rules; a sleep answer defers the task.
+            context = self._estimate_context(task)
+            selected = self.policy.select_on_state(context)
+            if selected.is_on:
+                break
+            deferrals += 1
+            tracer = self._tracer
+            if tracer is not None:
+                tracer.emit(
+                    self.kernel.now_fs, "lem.deferral", self.ip_name,
+                    task=task.name, state=str(self.config.defer_state),
+                )
+            if self.psm.state is not self.config.defer_state and not self.psm.is_transitioning:
+                self.psm.request_state(self.config.defer_state)
+            yield self._reeval_timer()
+        # 3. Move the PSM to the selected ON state and grant.
+        if self.psm.state is not selected or self.psm.is_transitioning:
+            self.psm.request_state(selected)
+            yield from self.psm.wait_for_state(selected)
+        self._pending_task = None
+        self._executing = True
+        if self.gem is not None:
+            self.gem.note_request_served(self.ip_name)
+        self.decisions.append(
+            LemDecision(
+                task_name=task.name,
+                priority=task.priority,
+                battery=str(context.battery),
+                temperature=str(context.temperature),
+                selected_state=selected,
+                request_time=request_time,
+                grant_time=self.kernel.now,
+                deferrals=deferrals,
+                bus=str(context.bus),
+            )
+        )
+        tracer = self._tracer
+        if tracer is not None:
+            now_fs = self.kernel.now_fs
+            tracer.emit(
+                now_fs, "lem.decision", self.ip_name,
+                task=task.name,
+                state=str(selected),
+                priority=str(task.priority),
+                battery=str(context.battery),
+                temperature=str(context.temperature),
+                bus=str(context.bus),
+                deferrals=deferrals,
+                wait_us=(now_fs - int(request_time)) / 1e9,
+                other_ip_energy_j=context.other_ip_energy_j,
+            )
+
+    def submit_task_request(self, task: Task) -> None:
+        """Record the request for ``task`` and forward it to the GEM."""
+        if self._pending_task is not None:
             raise ConfigurationError(
                 f"LEM {self.name!r} already has an outstanding request; "
                 "IPs execute one task at a time"
@@ -183,50 +233,10 @@ class LocalEnergyManager(Module):
             self.predictor.update(actual_idle)
         self._idle_sequence += 1
         self._idle_record = None
-        grant = TaskGrant(task=task, event=self._grant_event, request_time=now)
-        self._pending_grant = grant
+        self._pending_task = task
         if self.gem is not None:
             estimated = self._estimate_task_energy(task)
             self.gem.register_request(self.ip_name, estimated)
-        self._request_event.notify()
-        return grant
-
-    def _finalize_grant(self, grant: TaskGrant, selected, context, deferrals: int) -> None:
-        grant.state = selected
-        grant.granted = True
-        self._pending_grant = None
-        self._executing = True
-        if self.gem is not None:
-            self.gem.note_request_served(self.ip_name)
-        self.decisions.append(
-            LemDecision(
-                task_name=grant.task.name,
-                priority=grant.task.priority,
-                battery=str(context.battery),
-                temperature=str(context.temperature),
-                selected_state=selected,
-                request_time=grant.request_time,
-                grant_time=self.kernel.now,
-                deferrals=deferrals,
-                bus=str(context.bus),
-            )
-        )
-        tracer = self._tracer
-        if tracer is not None:
-            now_fs = self.kernel.now_fs
-            tracer.emit(
-                now_fs, "lem.decision", self.ip_name,
-                task=grant.task.name,
-                state=str(selected),
-                priority=str(grant.task.priority),
-                battery=str(context.battery),
-                temperature=str(context.temperature),
-                bus=str(context.bus),
-                deferrals=deferrals,
-                wait_us=(now_fs - int(grant.request_time)) / 1e9,
-                other_ip_energy_j=context.other_ip_energy_j,
-            )
-        grant.event.notify()
 
     def notify_task_complete(self, task: Task, next_idle_hint: Optional[SimTime] = None) -> None:
         """Called by the IP right after ``task`` finished executing."""
@@ -247,12 +257,12 @@ class LocalEnergyManager(Module):
     @property
     def is_busy(self) -> bool:
         """True while the IP has a pending or running task."""
-        return self._pending_grant is not None or self._executing
+        return self._pending_task is not None or self._executing
 
     @property
     def has_pending_request(self) -> bool:
         """True while a task request is waiting for its grant."""
-        return self._pending_grant is not None
+        return self._pending_task is not None
 
     def force_low_power(self, state: PowerState) -> None:
         """GEM request to park the IP in ``state`` (only honoured while idle).
@@ -302,42 +312,6 @@ class LocalEnergyManager(Module):
             other_ip_energy_j=other_energy,
             bus=BusLevel.LOW if bus is None else bus.occupancy_level(),
         )
-
-    # ------------------------------------------------------------------
-    # Request serving process
-    # ------------------------------------------------------------------
-    def _serve_requests(self):
-        while True:
-            if self._pending_grant is None:
-                yield self._request_event
-                continue
-            grant = self._pending_grant
-            deferrals = 0
-            while True:
-                # 1. Wait for the GEM enable (if a GEM is present).
-                while self.gem is not None and not self.gem.is_enabled(self.ip_name):
-                    yield AnyOf([self.gem.enable_changed, self._reeval_timer()])
-                # 2. Apply the rules; a sleep answer defers the task.
-                context = self._estimate_context(grant.task)
-                selected = self.policy.select_on_state(context)
-                if selected.is_on:
-                    break
-                deferrals += 1
-                self.deferral_count += 1
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(
-                        self.kernel.now_fs, "lem.deferral", self.ip_name,
-                        task=grant.task.name, state=str(self.config.defer_state),
-                    )
-                if self.psm.state is not self.config.defer_state and not self.psm.is_transitioning:
-                    self.psm.request_state(self.config.defer_state)
-                yield self._reeval_timer()
-            # 3. Move the PSM to the selected ON state and grant.
-            if self.psm.state is not selected or self.psm.is_transitioning:
-                self.psm.request_state(selected)
-                yield from self.psm.wait_for_state(selected)
-            self._finalize_grant(grant, selected, context, deferrals)
 
     def _reeval_timer(self) -> Event:
         """A one-shot event that fires after the re-evaluation interval."""

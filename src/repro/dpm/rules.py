@@ -9,12 +9,13 @@ levels (``None`` meaning "don't care") plus the selected state — and a
 semantics.
 
 :func:`paper_rule_table` reproduces Table 1 verbatim, in row order, followed
-by three completion rules documented in ``DESIGN.md``: as printed, the
-paper's table does not cover the (battery >= Medium, temperature = Medium)
-corner, so the library falls back to one step slower than the
-temperature-Low choice and finally to ``ON4``.  The completion rules never
-fire in the paper's scenarios (they use battery Full/Low and temperature
-Low/High only).
+by six completion rules that are not in the paper (``completion-1`` to
+``completion-5`` and ``completion-default``).  As printed, the paper's table
+does not cover the (battery >= Medium, temperature = Medium) corner, so the
+completion rules mirror the temperature-Low choice of rows 7-12 there and
+finally fall back to ``ON4``.  They do fire in the paper's scenarios: row
+A3's projected end-of-task temperature classifies as Medium, so all 40 of
+its decisions come from ``completion-1`` (29) and ``completion-2`` (11).
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def _table1_rules() -> Tuple[Rule, ...]:
         Rule.of(_S.ON2, [_P.LOW], [_B.FULL], [_T.LOW], label="t1-row12"),
         # - power-supply M,L -> ON1
         Rule.of(_S.ON1, None, [_B.AC_POWER], temp_low_medium, label="t1-row13"),
-        # -- completion rules (not in the paper, documented in DESIGN.md) ----
+        # -- completion rules (not in the paper, see the module docstring) ----
         # Battery >= Medium with temperature Medium is not covered by the
         # printed Table 1; mirror the temperature-Low mapping (rows 7-12) so
         # a merely warm (not hot) chip behaves like a cool one.

@@ -12,7 +12,7 @@ from repro.sim.clock import Clock
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel, KernelStatistics
 from repro.sim.module import Module
-from repro.sim.process import AnyOf, MethodProcess, Process, ThreadProcess
+from repro.sim.process import YIELD, AnyOf, MethodProcess, Process, ThreadProcess
 from repro.sim.signal import Signal
 from repro.sim.simtime import (
     SimTime,
@@ -44,6 +44,7 @@ __all__ = [
     "ThreadProcess",
     "TimeUnit",
     "TraceRecorder",
+    "YIELD",
     "ZERO_TIME",
     "fs",
     "ms",

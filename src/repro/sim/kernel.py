@@ -30,6 +30,11 @@ the goldens depend on it:
 * **Immediate notifications queue behind the runnable set.**  ``notify()``
   appends the waiters to the end of the runnable queue: processes that are
   already runnable in this evaluate phase run first.
+* **A yielded thread resumes behind the runnable set.**  ``yield YIELD``
+  appends the thread itself to the end of the runnable queue, exactly where
+  an immediate notification would put it: it resumes in the same evaluate
+  phase (and delta cycle), after every process that was runnable when it
+  yielded and before any process woken later in the phase.
 * **Delta events fire after the update phase.**  A delta notification made
   during an evaluate phase fires once that phase's signal writes are
   visible, so its waiters read the updated values.

@@ -9,6 +9,8 @@ Two kinds of processes exist, mirroring SystemC:
   - a :class:`~repro.sim.simtime.SimTime` duration,
   - an :class:`~repro.sim.event.Event`,
   - an :class:`AnyOf` combinator over events (resume on the first),
+  - :data:`YIELD` (resume later in the same evaluate phase, behind every
+    process that is runnable now),
   - ``None`` (wait on the process' static sensitivity, if any).
 
 * **Method processes** (:class:`MethodProcess`) wrap a plain callable that is
@@ -36,7 +38,7 @@ from repro.sim.simtime import SimTime
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["AnyOf", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
+__all__ = ["AnyOf", "YIELD", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
 
 
 class AnyOf:
@@ -53,7 +55,16 @@ class AnyOf:
         return f"AnyOf({[e.name for e in self.events]})"
 
 
-WaitSpec = Union[SimTime, Event, AnyOf, None]
+class _Yield:
+    """Type of the :data:`YIELD` wait specification."""
+
+
+#: Wait specification: re-queue the thread at the tail of the runnable
+#: queue, so it resumes in the same evaluate phase after every process that
+#: was runnable when it yielded.
+YIELD = _Yield()
+
+WaitSpec = Union[SimTime, Event, AnyOf, _Yield, None]
 
 
 class Process:
@@ -199,6 +210,10 @@ class ThreadProcess(Process):
         if isinstance(spec, SimTime):
             # Dominant wait: a plain timed delay, no event registration.
             self._pending_timeout = self.kernel.schedule_process_timeout(self, spec)
+            return
+        if spec is YIELD:
+            self.queued = True
+            self.kernel._runnable.append(self)
             return
         self._arm(spec)
 

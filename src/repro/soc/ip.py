@@ -15,8 +15,9 @@ The IP can alternatively be driven by a :class:`~repro.soc.service.ServiceChanne
 (request-driven mode) and can optionally perform a bus transfer per task.
 
 The LEM is any object honouring the small protocol used here:
-``submit_task_request(task) -> grant`` (where ``grant`` exposes ``granted``,
-``event`` and ``state``) and ``notify_task_complete(task)``.
+``serve(task)``, a generator the IP's thread runs with ``yield from`` and
+that returns once the PSM is in the granted ON state, and
+``notify_task_complete(task, next_idle_hint)``.
 """
 
 from __future__ import annotations
@@ -180,9 +181,7 @@ class FunctionalIP(Module):
                 self.kernel.now_fs, "task.request", self.name,
                 task=task.name, priority=str(task.priority), cycles=task.cycles,
             )
-        grant = self.lem.submit_task_request(task)
-        if not grant.granted:
-            yield grant.event
+        yield from self.lem.serve(task)
         record.grant_time = self.kernel.now
         state = self.psm.state
         if not state.can_execute:

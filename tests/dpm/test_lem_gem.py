@@ -251,6 +251,34 @@ class TestGem:
         assert soc.gem.fan_activations > 0
         assert soc.fan.total_on_time.femtoseconds > 0
 
+    @pytest.mark.parametrize("order", [("lo", "hi"), ("hi", "lo")])
+    def test_same_instant_request_gates_the_lower_rank(self, order):
+        # Both IPs request at t=0 with a low battery and one enabled rank.
+        # Whichever IP asks first, the GEM's gate must see the other IP's
+        # request of the same instant before lo's request is decided: lo
+        # waits, and is enabled once hi holds its grant (the gate counts
+        # pending requests only, so lo may start while hi is running).
+        priorities = {"hi": 1, "lo": 2}
+        workload = periodic_workload(task_count=2, cycles=200_000, idle=ms(2))
+        specs = [
+            IpSpec(name=name, workload=workload, static_priority=priorities[name])
+            for name in order
+        ]
+        config = SocConfig(
+            battery=BatteryConfig(capacity_j=250.0, initial_state_of_charge=0.20),
+            thermal=ThermalConfig(ambient_c=35.0, initial_c=35.0),
+            use_gem=True,
+        )
+        dpm = DpmSetup.always_on()
+        dpm.gem_config = GemConfig(high_priority_count=1)
+        soc = build_soc(specs, config, dpm)
+        soc.run_until_done(max_time=sec(1))
+        hi = soc.instance("hi").ip.executions
+        lo = soc.instance("lo").ip.executions
+        assert hi[0].request_time.femtoseconds == lo[0].request_time.femtoseconds == 0
+        assert hi[0].grant_time.femtoseconds == 0
+        assert 0 < lo[0].grant_time.femtoseconds < hi[0].completion_time.femtoseconds
+
     def test_low_battery_run_prefers_slow_states(self):
         soc = self.make_multi_ip_soc(battery_soc=0.20, idle=ms(6))
         soc.run_until_done(max_time=sec(3))

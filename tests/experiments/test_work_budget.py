@@ -5,7 +5,10 @@ and every counter of ``KernelStatistics.as_dict()`` must equal its budget.
 The counters are deterministic, so this is the noise-free check on how much
 work a run does: a change that adds work fails here, and a change that
 removes work lowers the budget and records the before and after figures in
-CHANGES.md.
+CHANGES.md.  Running this file as a script prints the current counters in
+the shape of ``BUDGETS``::
+
+    PYTHONPATH=src python tests/experiments/test_work_budget.py
 """
 
 import pytest
@@ -28,18 +31,18 @@ SETUPS = {"dpm": DpmSetup.paper, "baseline": DpmSetup.always_on}
 
 #: one tuple per run, in FIELDS order
 BUDGETS = {
-    "A1/dpm": (408, 284, 245, 120, 79, 9, 5, 244),
-    "A1/baseline": (285, 161, 161, 120, 0, 9, 5, 160),
-    "A2/dpm": (470, 346, 306, 120, 80, 9, 5, 305),
-    "A2/baseline": (285, 161, 161, 120, 0, 9, 5, 160),
-    "A3/dpm": (408, 284, 245, 120, 79, 9, 5, 244),
-    "A3/baseline": (285, 161, 161, 120, 1, 9, 5, 160),
-    "A4/dpm": (470, 346, 306, 120, 80, 9, 5, 305),
-    "A4/baseline": (285, 161, 161, 120, 1, 9, 5, 160),
-    "B/dpm": (1064, 658, 665, 417, 188, 41, 19, 568),
-    "B/baseline": (803, 419, 469, 410, 58, 35, 19, 391),
-    "C/dpm": (1074, 665, 673, 417, 194, 43, 19, 576),
-    "C/baseline": (751, 371, 429, 419, 34, 34, 19, 356),
+    "A1/dpm": (367, 284, 245, 40, 79, 7, 4, 244),
+    "A1/baseline": (244, 161, 161, 40, 0, 7, 4, 160),
+    "A2/dpm": (429, 346, 306, 40, 80, 7, 4, 305),
+    "A2/baseline": (244, 161, 161, 40, 0, 7, 4, 160),
+    "A3/dpm": (367, 284, 245, 40, 79, 7, 4, 244),
+    "A3/baseline": (244, 161, 161, 40, 1, 7, 4, 160),
+    "A4/dpm": (429, 346, 306, 40, 80, 7, 4, 305),
+    "A4/baseline": (244, 161, 161, 40, 1, 7, 4, 160),
+    "B/dpm": (964, 658, 665, 225, 188, 33, 15, 568),
+    "B/baseline": (703, 419, 469, 218, 58, 27, 15, 391),
+    "C/dpm": (974, 665, 673, 225, 194, 35, 15, 576),
+    "C/baseline": (651, 371, 429, 227, 34, 26, 15, 356),
 }
 
 
@@ -54,3 +57,14 @@ def test_kernel_statistics_match_work_budget(case):
     run = run_scenario(row, SETUPS[kind](), trace=False)
     stats = run.soc.simulator.kernel.stats.as_dict()
     assert stats == dict(zip(FIELDS, BUDGETS[case]))
+
+
+if __name__ == "__main__":
+    # Print the current counters as a BUDGETS literal, to paste above after
+    # a change that removes work.
+    print("BUDGETS = {")
+    for case in BUDGETS:
+        row, kind = case.split("/")
+        stats = run_scenario(row, SETUPS[kind](), trace=False).soc.simulator.kernel.stats
+        print(f'    "{case}": {tuple(stats.as_dict()[name] for name in FIELDS)},')
+    print("}")

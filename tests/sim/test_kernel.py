@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import AnyOf, Kernel, Signal, ns, us
+from repro.sim import YIELD, AnyOf, Kernel, Signal, ns, us
 
 
 @pytest.fixture
@@ -448,6 +448,102 @@ class TestSameInstantOrdering:
         # already read the written value.
         assert log == [("writer", 0), ("ready", 1), ("changed", 1)]
         assert kernel.now == ns(10)
+
+    def test_yield_resumes_behind_the_runnable_set(self, kernel):
+        log = []
+        go = kernel.event("go")
+
+        def yielder():
+            yield ns(10)
+            log.append("yielder")
+            yield YIELD
+            log.append("yielder resumed")
+
+        def notifier():
+            yield ns(10)
+            log.append("notifier")
+            go.notify()
+
+        def bystander():
+            yield ns(10)
+            log.append("bystander")
+
+        def waiter():
+            yield go
+            log.append("waiter")
+
+        for func in (yielder, notifier, bystander, waiter):
+            kernel.create_thread(func, func.__name__)
+        kernel.run()
+        # The waiter was woken after the yield, so it queues behind it.
+        assert log == ["yielder", "notifier", "bystander", "yielder resumed", "waiter"]
+
+    @staticmethod
+    def _stats_of(body):
+        kernel = Kernel()
+        kernel.create_thread(body, "proc")
+        kernel.run()
+        return kernel.stats.as_dict()
+
+    def test_yield_costs_one_activation_and_no_notification(self):
+        def plain():
+            yield ns(10)
+
+        def yielding():
+            yield ns(10)
+            yield YIELD
+
+        expected = self._stats_of(plain)
+        expected["process_activations"] += 1
+        assert self._stats_of(yielding) == expected
+        assert expected["immediate_notifications"] == 0
+
+    def test_yield_stays_in_the_same_delta_cycle(self, kernel):
+        sig = Signal(kernel, "s", 0)
+        ready = kernel.event("ready")
+        log = []
+
+        def writer():
+            yield ns(10)
+            sig.write(1)
+            ready.notify_delta()
+            yield YIELD
+            # Neither the update phase nor the delta notification has run.
+            log.append(("writer", sig.read()))
+
+        def on_ready():
+            yield ready
+            log.append(("ready", sig.read()))
+
+        kernel.create_thread(writer, "writer")
+        kernel.create_thread(on_ready, "on_ready")
+        kernel.run()
+        assert log == [("writer", 0), ("ready", 1)]
+        assert kernel.now == ns(10)
+
+    def test_thread_killed_while_yielded_never_resumes(self, kernel):
+        log = []
+
+        def victim():
+            try:
+                yield ns(10)
+                log.append("victim")
+                yield YIELD
+                log.append("victim resumed")
+            finally:
+                log.append("victim closed")
+
+        victim_process = kernel.create_thread(victim, "victim")
+
+        def killer():
+            yield ns(10)
+            log.append("killer")
+            victim_process.kill()
+
+        kernel.create_thread(killer, "killer")
+        kernel.run()
+        assert log == ["victim", "killer", "victim closed"]
+        assert victim_process.terminated
 
 
 class TestKernelControl:
