@@ -49,7 +49,9 @@ class ResultStore:
         self.baselines_dir = self.root / _BASELINES
         self.traces_dir = self.root / _TRACES
         # The directories are created lazily by the write paths, so read-only
-        # commands (status/report) on a mistyped path have no side effects.
+        # commands (status/report) on a mistyped path have no side effects;
+        # each write path creates its directory once per store.
+        self._made: Set[Path] = set()
 
     # -- manifest -------------------------------------------------------
     @property
@@ -82,8 +84,7 @@ class ResultStore:
         job_id = record.get("job_id")
         if not isinstance(job_id, str) or not job_id:
             raise CampaignError("result records need a non-empty 'job_id'")
-        self.records_dir.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(self.records_dir / f"{job_id}.json", dict(record))
+        self._write_atomic(self._made_dir(self.records_dir) / f"{job_id}.json", dict(record))
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
         """Load the record of ``job_id``, or ``None`` when absent/corrupt."""
@@ -132,8 +133,7 @@ class ResultStore:
         """Store the figures of one shared baseline run."""
         if not isinstance(key, str) or not key:
             raise CampaignError("baseline records need a non-empty key")
-        self.baselines_dir.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(self.baselines_dir / f"{key}.json", dict(record))
+        self._write_atomic(self._made_dir(self.baselines_dir) / f"{key}.json", dict(record))
 
     def get_baseline(self, key: str) -> Optional[Dict[str, Any]]:
         """Load a shared baseline record, or ``None`` when absent/corrupt."""
@@ -154,10 +154,18 @@ class ResultStore:
         return {path.stem for path in self.baselines_dir.glob("*.json")}
 
     # -- internals ------------------------------------------------------
+    def _made_dir(self, directory: Path) -> Path:
+        """``directory``, created on its first use by this store."""
+        if directory not in self._made:
+            directory.mkdir(parents=True, exist_ok=True)
+            self._made.add(directory)
+        return directory
+
     @staticmethod
     def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
+        # Without indent, json.dumps takes the C encoder.
+        text = json.dumps(payload, sort_keys=True) + "\n"
         tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp, path)

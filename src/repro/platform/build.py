@@ -95,14 +95,46 @@ _PREDICTOR_FACTORIES = {
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
+class _ByContent:
+    """A value seen only through the canonical JSON of ``content``: equal,
+    and hashing alike, exactly when those texts are equal."""
+
+    __slots__ = ("value", "key")
+
+    def __init__(self, value, content) -> None:
+        self.value = value
+        self.key = json.dumps(
+            content, sort_keys=True, separators=(",", ":"),
+            default=lambda item: item.to_dict(),
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByContent) and self.key == other.key
+
+
 def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Workload:
-    """Instantiate the workload described by ``wdef``.
+    """The workload described by ``wdef``, built once per content.
 
     ``seed_override`` replaces the definition's own seed (campaign grids
     sweep seeds this way); it is ignored by ``explicit`` workloads, which
     have no randomness.  Fields left unset fall through to the generator's
     own defaults, so the mapping stays in one place.
+
+    A :class:`~repro.soc.workload.Workload` is an immutable value, so
+    workloads are cached per process, keyed by the canonical JSON of
+    ``(wdef, seed_override)``: a comparison's DPM and baseline runs, and
+    every later run of the same spec and seed, share one object.  The cache
+    is bounded; ``build_workload.cache_info()`` reports its use.
     """
+    return _workload(_ByContent((wdef, seed_override), [wdef, seed_override]))
+
+
+@functools.lru_cache(maxsize=256)
+def _workload(content: _ByContent) -> Workload:
+    wdef, seed_override = content.value
     seed = seed_override if seed_override is not None else wdef.seed
     kwargs: Dict[str, object] = {}
 
@@ -120,7 +152,7 @@ def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Wo
         put("task_count", wdef.task_count)
         workload = scenario_a_workload(**kwargs)
         if wdef.name:
-            workload.name = wdef.name
+            workload = dataclasses.replace(workload, name=wdef.name)
         return _post_transform(wdef, workload)
 
     put("name", wdef.name)
@@ -165,6 +197,9 @@ def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Wo
     else:  # pragma: no cover - validate() rejects unknown kinds first
         raise PlatformError(f"unknown workload kind {kind!r}")
     return _post_transform(wdef, workload)
+
+
+build_workload.cache_info = _workload.cache_info  # type: ignore[attr-defined]
 
 
 def _post_transform(wdef: WorkloadDef, workload: Workload) -> Workload:
@@ -264,31 +299,11 @@ def build_transitions(
 _POWER_FIELDS = CHARACTERIZATION_FIELDS + ("psm",)
 
 
-class _PowerFields:
-    """An IpDef seen only through its power fields: equal, and hashing
-    alike, exactly when their canonical JSON is equal."""
-
-    __slots__ = ("ipdef", "key")
-
-    def __init__(self, ipdef: IpDef) -> None:
-        self.ipdef = ipdef
-        self.key = json.dumps(
-            {key: getattr(ipdef, key) for key in _POWER_FIELDS
-             if getattr(ipdef, key) is not None},
-            sort_keys=True, separators=(",", ":"), default=lambda value: value.to_dict(),
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _PowerFields) and self.key == other.key
-
-
 @functools.lru_cache(maxsize=256)
-def _power_model(fields: _PowerFields) -> PowerModel:
-    characterization = build_characterization(fields.ipdef)
-    return PowerModel.build(characterization, build_transitions(fields.ipdef, characterization))
+def _power_model(fields: _ByContent) -> PowerModel:
+    ipdef = fields.value
+    characterization = build_characterization(ipdef)
+    return PowerModel.build(characterization, build_transitions(ipdef, characterization))
 
 
 def ip_power_model(ipdef: IpDef) -> PowerModel:
@@ -300,7 +315,9 @@ def ip_power_model(ipdef: IpDef) -> PowerModel:
     IP with none of those fields gets :func:`default_power_model`.  The
     cache is bounded; ``ip_power_model.cache_info()`` reports its use.
     """
-    return _power_model(_PowerFields(ipdef))
+    return _power_model(_ByContent(ipdef, {
+        key: getattr(ipdef, key) for key in _POWER_FIELDS if getattr(ipdef, key) is not None
+    }))
 
 
 ip_power_model.cache_info = _power_model.cache_info  # type: ignore[attr-defined]

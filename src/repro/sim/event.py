@@ -137,11 +137,14 @@ class TimedQueue:
     ``sequence`` guarantees the ``payload`` element is never compared).
     ``payload`` is either an :class:`Event` to fire or a
     :class:`~repro.sim.process.Process` to resume directly (used for
-    ``yield some_duration`` timeouts).  Times are raw integer femtoseconds.
+    ``yield some_duration`` timeouts, which the kernel's stepping routine
+    pushes itself, exactly as :meth:`push` would).  Times are raw integer
+    femtoseconds.
 
     Cancelled entries are flagged lazily and skipped on pop; to keep long
     runs with many cancellations from leaking heap slots, the heap is
-    compacted whenever dead entries outnumber the live ones.
+    compacted whenever dead entries outnumber the live ones.  The heap list
+    itself is never replaced, so the kernel may hold on to it.
     """
 
     #: minimum number of dead entries before a compaction is considered
@@ -214,12 +217,13 @@ class TimedQueue:
         return due
 
     def _compact(self) -> None:
-        """Drop cancelled entries wholesale and rebuild the heap.
+        """Drop cancelled entries wholesale and rebuild the heap in place.
 
         Heap keys ``(time_fs, sequence)`` are unique, so re-heapifying the
         surviving items reproduces exactly the original pop order.
         """
-        self._heap = [entry for entry in self._heap if not entry[3]]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3]]
+        heapq.heapify(heap)
         self._dead = 0
 

@@ -49,25 +49,30 @@ about :class:`~repro.sim.event.Event` and
 isolation and to reuse for non-hardware models (the battery and thermal
 models use plain processes, for instance).
 
-Internally the hot path works on raw integer femtoseconds: the timed queue,
-:meth:`Kernel._advance_to` and the time comparisons in :meth:`Kernel.run`
-never build :class:`~repro.sim.simtime.SimTime` objects per event.  A cached
-``SimTime`` view of the current instant is built on demand,
-so :attr:`Kernel.now` stays the public value type without per-read
-allocation.  Pure timed waits (``yield SimTime``) are resumed without any
-waiter-list or cancellation bookkeeping — the dominant activation in this
-library costs one generator ``next()`` plus one heap push.
+Internally the hot path works on raw integer femtoseconds and is one loop,
+:meth:`Kernel._loop`: it runs the delta cycles of an instant, advances time
+to the earliest timed entry, pops that instant's due entries with
+:meth:`~repro.sim.event.TimedQueue.pop_due` and goes round again.  A thread
+is stepped by :meth:`Kernel._step`, the one place a generator is resumed
+(:meth:`ThreadProcess.start` uses it too): it runs the generator to its next
+wait and arms that wait.  A pure timed wait (``yield SimTime``), the dominant
+activation in this library, is re-armed with one heap push and resumed with
+no waiter-list or cancellation bookkeeping.  No
+:class:`~repro.sim.simtime.SimTime` is built per event; a cached view of the
+current instant is built on demand, so :attr:`Kernel.now` stays the public
+value type without per-read allocation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Deque, List, Optional, Set
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import Event, TimedQueue
-from repro.sim.process import MethodProcess, Process, ThreadProcess
+from repro.sim.process import YIELD, MethodProcess, Process, ThreadProcess
 from repro.sim.simtime import SimTime, ZERO_TIME
 
 __all__ = ["Kernel", "KernelStatistics"]
@@ -118,6 +123,7 @@ class Kernel:
         self._update_queue: List = []
         self._update_scheduled: Set = set()
         self._timed = TimedQueue()
+        self._timed_heap = self._timed._heap  # never replaced (see TimedQueue)
         self._processes: List[Process] = []
         self._initialized = False
         self._stop_requested = False
@@ -203,11 +209,6 @@ class Kernel:
         self.stats.timed_notifications += 1
         return self._timed.push(self._now_fs + delay, event)
 
-    def schedule_process_timeout(self, process: Process, delay: SimTime):
-        """Resume ``process`` after ``delay`` (a ``yield duration`` wait)."""
-        self.stats.timed_notifications += 1
-        return self._timed.push(self._now_fs + delay, process)
-
     def cancel_timed(self, handle) -> None:
         """Cancel a previously scheduled timed notification."""
         self._timed.cancel(handle)
@@ -227,15 +228,15 @@ class Kernel:
     # Execution
     # ------------------------------------------------------------------
     def initialize(self) -> None:
-        """Start every registered process (runs them to their first wait)."""
+        """Start every registered process (runs them to their first wait)
+        and resolve the activity this creates at the current instant."""
         if self._initialized:
             return
         self._initialized = True
         for process in self._processes:
             process.start()
             self.stats.process_activations += 1
-        # Resolve any activity generated during initialisation at time zero.
-        self._delta_loop()
+        self._loop(self._now_fs)
 
     def run(self, duration: Optional[SimTime] = None) -> SimTime:
         """Run the simulation.
@@ -261,25 +262,8 @@ class Kernel:
         self._running = True
         self._stop_requested = False
         try:
-            if not self._initialized:
-                self.initialize()
-            end_fs = None if duration is None else self._now_fs + duration
-            timed = self._timed
-            self._delta_loop()
-            while not self._stop_requested:
-                next_fs = timed.next_time_fs()
-                if next_fs is None:
-                    break
-                if end_fs is not None and next_fs > end_fs:
-                    self._set_now(end_fs)
-                    break
-                self._advance_to(next_fs)
-                self._delta_loop()
-            if end_fs is not None and not self._stop_requested:
-                if timed.next_time_fs() is None and self._now_fs < end_fs:
-                    # Starvation before the requested end time: report the
-                    # requested end so repeated run() calls stay monotonic.
-                    self._set_now(end_fs)
+            self.initialize()
+            self._loop(None if duration is None else self._now_fs + duration)
             return self.now
         finally:
             self._running = False
@@ -287,57 +271,119 @@ class Kernel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _set_now(self, now_fs: int) -> None:
-        self._now_fs = now_fs
-        self._now = None  # SimTime view rebuilt on demand (see Kernel.now)
+    def _loop(self, end_fs: Optional[int]) -> None:
+        """The time loop: the delta cycles of each instant, then a time advance.
 
-    def _advance_to(self, next_fs: int) -> None:
-        if next_fs < self._now_fs:  # pragma: no cover - defensive
-            raise SchedulingError("attempted to move simulated time backwards")
-        self._set_now(next_fs)
-        self.stats.time_advances += 1
+        Runs until no activity is left, :meth:`stop` is called, or the next
+        timed entry lies beyond ``end_fs``; time then stands at ``end_fs``
+        (when given and not stopped).
+        """
         runnable = self._runnable
-        for payload in self._timed.pop_due(next_fs):
-            if payload.__class__ is Event:
-                payload.fire(runnable)
-            else:
-                # Pure timed wake (the dominant case): drop the consumed
-                # handle so the process resume skips all wait bookkeeping.
-                payload._pending_timeout = None
-                runnable.append(payload)
-
-    def _delta_loop(self) -> None:
-        """Run evaluate/update/delta cycles until no process is runnable."""
-        runnable = self._runnable
-        stats = self.stats
+        timed = self._timed
+        pop_due = timed.pop_due
+        step = self._step
         activations = 0
         delta_cycles = 0
         signal_updates = 0
+        time_advances = 0
         try:
-            while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
-                # Evaluate phase.
-                while runnable:
-                    process = runnable.popleft()
-                    process.queued = False
-                    if process.terminated:
-                        continue
-                    process.resume()
-                    activations += 1
-                # Update phase.
-                if self._update_queue:
-                    updates, self._update_queue = self._update_queue, []
-                    self._update_scheduled.clear()
-                    for channel in updates:
-                        channel.update()
-                    signal_updates += len(updates)
-                # Delta notification phase.
-                if self._delta_events:
-                    delta_events, self._delta_events = self._delta_events, []
-                    self._delta_scheduled.clear()
-                    for event in delta_events:
-                        event.fire(runnable)
-                delta_cycles += 1
+            while True:
+                while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
+                    # Evaluate phase.
+                    while runnable:
+                        process = runnable.popleft()
+                        process.queued = False
+                        if process.terminated:
+                            continue
+                        if process.__class__ is ThreadProcess:
+                            step(process)
+                        else:
+                            process.resume()
+                        activations += 1
+                    # Update phase.
+                    if self._update_queue:
+                        updates, self._update_queue = self._update_queue, []
+                        self._update_scheduled.clear()
+                        for channel in updates:
+                            channel.update()
+                        signal_updates += len(updates)
+                    # Delta notification phase.
+                    if self._delta_events:
+                        delta_events, self._delta_events = self._delta_events, []
+                        self._delta_scheduled.clear()
+                        for event in delta_events:
+                            event.fire(runnable)
+                    delta_cycles += 1
+                if self._stop_requested:
+                    return
+                next_fs = timed.next_time_fs()
+                if next_fs is None or (end_fs is not None and next_fs > end_fs):
+                    if end_fs is not None and end_fs > self._now_fs:
+                        # Also on starvation before the requested end time,
+                        # so repeated run() calls stay monotonic.
+                        self._now_fs = end_fs
+                        self._now = None
+                    return
+                if next_fs < self._now_fs:  # pragma: no cover - defensive
+                    raise SchedulingError("attempted to move simulated time backwards")
+                # Time advance: timed-event callbacks run now, before any
+                # process of the instant resumes.
+                self._now_fs = next_fs
+                self._now = None  # SimTime view rebuilt on demand (see Kernel.now)
+                time_advances += 1
+                for payload in pop_due(next_fs):
+                    if payload.__class__ is Event:
+                        payload.fire(runnable)
+                    else:
+                        # Pure timed wake: drop the consumed handle so the
+                        # step skips all wait bookkeeping.
+                        payload._pending_timeout = None
+                        runnable.append(payload)
         finally:
+            stats = self.stats
             stats.process_activations += activations
             stats.delta_cycles += delta_cycles
             stats.signal_updates += signal_updates
+            stats.time_advances += time_advances
+
+    def _step(self, thread: ThreadProcess) -> None:
+        """Run ``thread`` to its next wait and arm that wait.
+
+        The only place a thread's generator is resumed: the time loop calls
+        it for every thread activation and :meth:`ThreadProcess.start` for
+        the first.  Whatever is left of the previous wait is withdrawn first
+        (nothing, after a matured pure timed wait).
+        """
+        if thread._waiting_events or thread._pending_timeout is not None:
+            thread._clear_waits()
+        generator = thread._generator
+        if generator is None:
+            thread.terminated = True
+            return
+        try:
+            spec = next(generator)
+        except StopIteration:
+            thread.terminated = True
+            return
+        if thread.terminated:
+            # The thread killed itself while executing; now that the
+            # generator is suspended it can be closed (finally blocks run).
+            thread._generator = None
+            generator.close()
+            return
+        if isinstance(spec, SimTime):
+            # Dominant wait: a plain timed delay, armed with one heap push.
+            timed = self._timed
+            sequence = timed._next_sequence
+            timed._next_sequence = sequence + 1
+            entry = [self._now_fs + spec, sequence, thread, False]
+            heappush(self._timed_heap, entry)
+            timed._live += 1
+            thread._pending_timeout = entry
+            self.stats.timed_notifications += 1
+            return
+        if spec is YIELD:
+            thread.queued = True
+            self._runnable.append(thread)
+            return
+        thread._arm(spec)

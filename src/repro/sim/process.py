@@ -19,8 +19,9 @@ Two kinds of processes exist, mirroring SystemC:
   initialisation: the first call waits for the first notification.
 
 The dominant wait in this library is ``yield SimTime`` (a pure timed wait):
-both :meth:`ThreadProcess.resume` and the arming logic special-case it so a
-timed resume touches no waiter lists and no cancellation.
+the kernel's one stepping routine (:meth:`repro.sim.kernel.Kernel._step`)
+special-cases it, so a timed resume touches no waiter lists and no
+cancellation.
 
 Users normally do not instantiate these classes directly; they call
 :meth:`repro.sim.module.Module.add_thread` and
@@ -101,10 +102,6 @@ class Process:
         """Called once at the start of simulation."""
         raise NotImplementedError
 
-    def resume(self) -> None:
-        """Called by the kernel when a wait of this process matures."""
-        raise NotImplementedError
-
     def kill(self) -> None:
         """Terminate the process, withdrawing any pending wait.
 
@@ -156,7 +153,7 @@ class ThreadProcess(Process):
             self.terminated = True
             return
         self._generator = result
-        self._advance()
+        self.kernel._step(self)
 
     def kill(self) -> None:
         """Terminate the thread, running its pending ``finally`` blocks.
@@ -178,48 +175,13 @@ class ThreadProcess(Process):
         if generator is None:
             return
         if generator.gi_running:
-            return  # self-kill: _advance closes the generator at its next yield
+            return  # self-kill: the kernel closes the generator at its next yield
         self._generator = None
         generator.close()
 
-    def resume(self) -> None:
-        """Resume after a wait: withdraw what is left of it, then advance."""
-        # Fast path: a matured pure timed wait (the kernel clears the handle
-        # before resuming) leaves nothing to unregister.
-        if self._waiting_events or self._pending_timeout is not None:
-            self._clear_waits()
-        self._advance()
-
-    # -- internals ----------------------------------------------------------
-    def _advance(self) -> None:
-        generator = self._generator
-        if generator is None:
-            self.terminated = True
-            return
-        try:
-            spec = next(generator)
-        except StopIteration:
-            self.terminated = True
-            return
-        if self.terminated:
-            # The process killed itself while executing; now that the
-            # generator is suspended it can be closed (finally blocks run).
-            self._generator = None
-            generator.close()
-            return
-        if isinstance(spec, SimTime):
-            # Dominant wait: a plain timed delay, no event registration.
-            self._pending_timeout = self.kernel.schedule_process_timeout(self, spec)
-            return
-        if spec is YIELD:
-            self.queued = True
-            self.kernel._runnable.append(self)
-            return
-        self._arm(spec)
-
     def _arm(self, spec: WaitSpec) -> None:
-        """Register the event wait described by ``spec`` (timed waits are
-        armed in :meth:`_advance`)."""
+        """Register the event wait described by ``spec`` (timed waits and
+        :data:`YIELD` are armed by the kernel's stepping routine)."""
         if spec is None:
             if not self.static_sensitivity:
                 raise SchedulingError(
@@ -259,6 +221,7 @@ class MethodProcess(Process):
         self._rearm()
 
     def resume(self) -> None:
+        """Called by the kernel when an event of the sensitivity list fires."""
         self._rearm()
         self._func()
 

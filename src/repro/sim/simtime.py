@@ -7,7 +7,7 @@ instant compare equal regardless of how the instant was computed.
 
 :class:`SimTime` subclasses :class:`int`, so an instance *is* its
 femtosecond count.  That makes comparisons, hashing and heap ordering run at
-C speed and lets the kernel hot path (the timed queue, ``Kernel._advance_to``
+C speed and lets the kernel hot path (the timed queue, ``Kernel._loop``
 and the signal timestamps) work on raw integers while ``SimTime`` stays the
 public value type at layer boundaries.  The SimTime-specific operators are
 preserved: ``+``/``-`` between two times (adding a unitless number raises

@@ -7,8 +7,10 @@ It takes care of the lifecycle around the kernel:
 1. construct modules (user code) and register the top-level ones,
 2. :meth:`run` for a duration (repeatable),
 3. collect kernel statistics and wall-clock throughput
-   (:class:`SimulationReport`), which is what the simulation-speed figure in
-   the paper is reproduced from.
+   (:class:`SimulationReport`) of that call.
+
+:meth:`repro.soc.soc.SoC.run_until_done` drives the kernel directly instead,
+and the experiment runner times whole runs for the simulation-speed figure.
 """
 
 from __future__ import annotations

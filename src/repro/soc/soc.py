@@ -215,12 +215,12 @@ class SoC(Module):
         """
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
-        while not self.all_done and self.simulator.now < max_time:
-            remaining = max_time - self.simulator.now
-            chunk = check_interval if check_interval < remaining else remaining
-            self.simulator.run(chunk)
+        kernel = self.kernel
+        while not self.all_done and kernel.now < max_time:
+            remaining = max_time - kernel.now
+            kernel.run(check_interval if check_interval < remaining else remaining)
         self.flush()
-        return self.simulator.now
+        return kernel.now
 
     def _shared_sample_loop(self):
         """One periodic process: flush the books once, then sample both sensors."""

@@ -6,8 +6,10 @@ for a fixed time", and "different types of input statistics have been
 considered ... in some sequences the IP is often busy, in some it is often in
 idle state".
 
-A :class:`Workload` is an ordered list of :class:`WorkloadItem` entries, each
-pairing a :class:`~repro.soc.task.Task` with the idle gap that follows it.
+A :class:`Workload` is an immutable, ordered tuple of :class:`WorkloadItem`
+entries, each pairing a :class:`~repro.soc.task.Task` with the idle gap that
+follows it.  Being a value, one workload can be shared by every run that
+uses it (:func:`repro.platform.build.build_workload` builds each once).
 The generator functions below build the statistics used by the experiments:
 
 * :func:`periodic_workload` — fixed task size, fixed idle gap;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
@@ -50,17 +52,22 @@ class WorkloadItem:
     idle_after: SimTime = ZERO_TIME
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workload:
-    """An ordered sequence of workload items."""
+    """An ordered, immutable sequence of workload items.
 
-    items: List[WorkloadItem] = field(default_factory=list)
+    ``items`` may be given as any iterable; it is stored as a tuple.
+    """
+
+    items: Tuple[WorkloadItem, ...] = ()
     name: str = "workload"
 
     def __post_init__(self) -> None:
-        for item in self.items:
+        items = tuple(self.items)
+        for item in items:
             if not isinstance(item, WorkloadItem):
                 raise WorkloadError("workload items must be WorkloadItem instances")
+        object.__setattr__(self, "items", items)
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:

@@ -279,6 +279,28 @@ class TestGem:
         assert hi[0].grant_time.femtoseconds == 0
         assert 0 < lo[0].grant_time.femtoseconds < hi[0].completion_time.femtoseconds
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 4d: GlobalEnergyManager.note_request_served does not evaluate, "
+        "so lo waits for the periodic tick and is granted at 530 us"))
+    def test_lower_rank_is_granted_before_the_periodic_tick(self):
+        # hi asks first and is granted at 0; then no higher rank than lo is
+        # pending, so lo could be enabled at once.  Today the GEM re-decides
+        # only at its next periodic evaluation.
+        workload = periodic_workload(task_count=2, cycles=200_000, idle=ms(2))
+        specs = [IpSpec(name=name, workload=workload, static_priority=priority)
+                 for name, priority in (("hi", 1), ("lo", 2))]
+        config = SocConfig(
+            battery=BatteryConfig(capacity_j=250.0, initial_state_of_charge=0.20),
+            thermal=ThermalConfig(ambient_c=35.0, initial_c=35.0),
+            use_gem=True,
+        )
+        dpm = DpmSetup.always_on()
+        dpm.gem_config = GemConfig(high_priority_count=1)
+        soc = build_soc(specs, config, dpm)
+        soc.run_until_done(max_time=sec(1))
+        lo = soc.instance("lo").ip.executions
+        assert lo[0].grant_time < dpm.gem_config.evaluation_interval
+
     def test_low_battery_run_prefers_slow_states(self):
         soc = self.make_multi_ip_soc(battery_soc=0.20, idle=ms(6))
         soc.run_until_done(max_time=sec(3))

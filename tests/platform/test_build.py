@@ -105,6 +105,32 @@ class TestWorkloadBuild:
         assert build_workload(wdef).as_dicts() != build_workload(wdef, 99).as_dicts()
         assert build_workload(wdef, 99).as_dicts() == build_workload(wdef, 99).as_dicts()
 
+    def test_equal_content_and_seed_share_one_workload(self):
+        wdef = WorkloadDef(kind="high_activity", task_count=6, seed=1)
+        workload = build_workload(wdef)
+        # An equal definition built separately is the same content.
+        assert build_workload(WorkloadDef(kind="high_activity", task_count=6, seed=1)) is workload
+        assert build_workload(wdef, 5) is build_workload(dataclasses.replace(wdef), 5)
+
+    @pytest.mark.parametrize("other", [
+        (WorkloadDef(kind="high_activity", task_count=6, seed=1), 2),
+        (WorkloadDef(kind="high_activity", task_count=6, seed=2), None),
+        (WorkloadDef(kind="high_activity", task_count=7, seed=1), None),
+        (WorkloadDef(kind="high_activity", task_count=6, seed=1, idle_scale=2.0), None),
+        (WorkloadDef(kind="low_activity", task_count=6, seed=1), None),
+    ], ids=["seed-override", "seed", "task-count", "post-transform", "kind"])
+    def test_other_seed_or_content_gives_a_new_workload(self, other):
+        workload = build_workload(WorkloadDef(kind="high_activity", task_count=6, seed=1))
+        wdef, seed = other
+        assert build_workload(wdef, seed) is not workload
+
+    def test_cache_stays_bounded(self):
+        maxsize = build_workload.cache_info().maxsize
+        for index in range(maxsize + 20):
+            build_workload(WorkloadDef(kind="periodic", task_count=1, cycles=1000 + index))
+        info = build_workload.cache_info()
+        assert info.currsize <= maxsize
+
     def test_ip_index_decorrelates_grid_seeds(self):
         spec = IpDef(name="a", workload=WorkloadDef(kind="high_activity", task_count=4))
         first = build_ip_spec(spec, index=0, seed=7)

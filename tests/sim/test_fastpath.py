@@ -124,6 +124,49 @@ class TestTimedQueueCompaction:
         assert model == []
         assert len(queue) == 0
 
+    def test_compaction_inside_a_running_loop_loses_no_wake(self):
+        """One activation cancels enough timed waits to compact the heap
+        while the time loop runs.  The waits the loop arms afterwards still
+        mature, and same-instant wakes keep their push order."""
+        kernel = Kernel()
+        log = []
+
+        def sleeper(tag, delay):
+            def body():
+                yield delay
+                log.append((tag, kernel.now_fs))
+            return body
+
+        victims = [
+            kernel.create_thread(sleeper(f"victim{index}", ns(50)), f"victim{index}")
+            for index in range(3 * TimedQueue.COMPACT_THRESHOLD)
+        ]
+        for index in range(3):
+            kernel.create_thread(sleeper(f"early{index}", ns(100)), f"early{index}")
+        heap_sizes = []
+
+        def killer():
+            yield ns(10)
+            for victim in victims:
+                victim.kill()
+            heap_sizes.append(kernel._timed.heap_size)
+            yield ns(90)  # armed after the compaction, due at 100 ns
+            log.append(("killer", kernel.now_fs))
+            yield ns(10)
+            log.append(("killer", kernel.now_fs))
+
+        kernel.create_thread(killer, "killer")
+        for index in range(2):
+            kernel.create_thread(sleeper(f"late{index}", ns(100)), f"late{index}")
+        kernel.run()
+        assert heap_sizes[0] < TimedQueue.COMPACT_THRESHOLD  # compacted in the loop
+        at_100 = int(ns(100))
+        assert log == [
+            ("early0", at_100), ("early1", at_100), ("early2", at_100),
+            ("late0", at_100), ("late1", at_100),
+            ("killer", at_100), ("killer", int(ns(110))),
+        ]
+
     def test_kernel_pending_activity_ignores_cancelled_only_timed_entries(self):
         kernel = Kernel()
         event = kernel.event("never")

@@ -1,5 +1,7 @@
 """Tests for tasks, priorities and workload generators."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,6 +159,22 @@ class TestWorkloadContainer:
     def test_invalid_items_rejected(self):
         with pytest.raises(WorkloadError):
             Workload(items=["not an item"])
+
+    def test_workload_is_immutable(self):
+        # Workloads are shared between runs (build_workload caches them), so
+        # neither the workload nor its items may change.
+        workload = periodic_workload(task_count=2)
+        assert isinstance(workload.items, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            workload.name = "renamed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            workload.items = ()
+        with pytest.raises(AttributeError):
+            workload.items.append(workload[0])
+        with pytest.raises(TypeError):
+            workload.items[0] = workload[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            workload[0].task.cycles = 1
 
 
 class TestGenerators:
